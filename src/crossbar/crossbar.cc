@@ -17,7 +17,8 @@ Status CrossbarParams::Validate() const {
   if (columns_per_adc == 0) {
     return InvalidArgument("columns_per_adc must be non-zero");
   }
-  if (ir_drop_alpha < 0.0 || ir_drop_alpha >= 1.0) {
+  if (!std::isfinite(ir_drop_alpha) || ir_drop_alpha < 0.0 ||
+      ir_drop_alpha >= 1.0) {
     return InvalidArgument("ir_drop_alpha must be in [0, 1)");
   }
   return cell.Validate();

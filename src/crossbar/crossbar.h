@@ -218,7 +218,9 @@ class Crossbar {
 
   CrossbarParams params_;
   // Sampling strategy for the fast kernels' read-noise factors, fixed at
-  // construction from (cell.read_noise_sigma, kernel policy).
+  // construction from (cell.read_noise_sigma, kernel policy). Under
+  // kFastNoise it shares the one process-wide tile for that sigma with
+  // every other array.
   device::NoiseModel noise_;
   std::vector<device::MemristorCell> cells_;
   // SoA mirror of cells_: contiguous fault-adjusted conductances (row

@@ -19,6 +19,14 @@ double MemristorParams::LevelConductance(std::uint64_t level) const {
 }
 
 Status MemristorParams::Validate() const {
+  // NaN and +-inf slip through every ordered comparison below, so reject
+  // them first.
+  if (!std::isfinite(g_on_siemens) || !std::isfinite(g_off_siemens)) {
+    return InvalidArgument("conductances must be finite");
+  }
+  if (!std::isfinite(read_noise_sigma) || !std::isfinite(write_noise_sigma)) {
+    return InvalidArgument("noise sigmas must be finite");
+  }
   if (g_on_siemens <= g_off_siemens) {
     return InvalidArgument("g_on must exceed g_off");
   }

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <numbers>
 
 #include "common/contracts.h"
@@ -51,7 +53,7 @@ constexpr double kLn2Hi = 6.93147180369123816490e-01;
 constexpr double kLn2Lo = 1.90821492927058770002e-10;
 constexpr double kLog2E = 1.44269504088896338700e+00;
 
-// The helpers below build the noise tile (one pass per NoiseModel) and back
+// The helpers below build the noise tile (one pass per sigma) and back
 // the detail:: test hooks; they are not on the per-cell serving path, which
 // is a plain tile copy.
 
@@ -154,9 +156,30 @@ std::string KernelPolicyName(KernelPolicy policy) {
   return "unknown";
 }
 
+NoiseModel::NoiseModel(double sigma, KernelPolicy policy)
+    : sigma_(sigma), policy_(policy) {
+  if (policy_ != KernelPolicy::kFastNoise || !enabled()) return;
+  CIM_DCHECK(std::isfinite(sigma_));
+  // The tile is a pure function of sigma, so every model at one sigma —
+  // across crossbars, accelerators and threads — shares one immutable copy.
+  // The memo keeps a strong reference for the process lifetime (512 KiB per
+  // distinct sigma): a DSE sweep revisits the same few sigmas from many
+  // short-lived accelerators, and one tile read by all of an accelerator's
+  // arrays stays L2-resident.
+  static std::mutex memo_mu;
+  static std::map<std::uint64_t, std::shared_ptr<const std::vector<double>>>
+      memo;
+  const std::lock_guard lock(memo_mu);
+  auto& tile = memo[std::bit_cast<std::uint64_t>(sigma_)];
+  if (tile == nullptr) {
+    tile = std::make_shared<const std::vector<double>>(BuildTile(sigma_));
+  }
+  tile_ = tile;
+}
+
 void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n) const {
   if (policy_ == KernelPolicy::kFastNoise) {
-    CIM_DCHECK(!tile_.empty());
+    CIM_DCHECK(tile_ != nullptr);
     // One serial draw per call rotates the tile to a fresh window, so
     // successive rows and cycles see decorrelated factor sequences; the
     // per-factor cost is an L2-resident copy instead of a libm pipeline.
@@ -167,7 +190,7 @@ void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n) const {
     std::size_t written = 0;
     while (written < n) {
       const std::size_t take = std::min(n - written, kTileSize - offset);
-      std::memcpy(out + written, tile_.data() + offset,
+      std::memcpy(out + written, tile_->data() + offset,
                   take * sizeof(double));
       written += take;
       offset = 0;
@@ -179,17 +202,17 @@ void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n) const {
   for (std::size_t i = 0; i < n; ++i) out[i] = rng.LogNormal(0.0, sigma_);
 }
 
-void NoiseModel::BuildTile() {
-  tile_.resize(kTileSize);
-  // Midpoint-quantile lattice: tile_[i] = exp(sigma * Phi^-1((i+0.5)/N)).
+std::vector<double> NoiseModel::BuildTile(double sigma) {
+  std::vector<double> tile(kTileSize);
+  // Midpoint-quantile lattice: tile[i] = exp(sigma * Phi^-1((i+0.5)/N)).
   // Its empirical CDF tracks the contract distribution within 1/(2N) —
   // orders of magnitude below the KS gate — and unlike an iid-sampled pool
-  // it carries no sampling error of its own. Built once per model with
+  // it carries no sampling error of its own. Built once per sigma with
   // full-accuracy libm exp; serving never touches libm again.
   for (std::size_t i = 0; i < kTileSize; ++i) {
     const double u = (static_cast<double>(i) + 0.5) /
                      static_cast<double>(kTileSize);
-    tile_[i] = std::exp(sigma_ * InverseNormalCdfImpl(u));
+    tile[i] = std::exp(sigma * InverseNormalCdfImpl(u));
   }
   // Fisher-Yates with counter-based hashes (fixed seed: the tile is a
   // deterministic function of sigma alone; all run-to-run variation comes
@@ -200,8 +223,9 @@ void NoiseModel::BuildTile() {
   for (std::size_t i = kTileSize - 1; i > 0; --i) {
     const std::size_t j = static_cast<std::size_t>(
         DeriveSeed(kShuffleSeed, static_cast<std::uint64_t>(i)) % (i + 1));
-    std::swap(tile_[i], tile_[j]);
+    std::swap(tile[i], tile[j]);
   }
+  return tile;
 }
 
 double NoiseModel::LogNormalCdf(double x, double mu, double sigma) {

@@ -12,7 +12,8 @@
 //   KernelPolicy::kFastNoise    SoA kernel; factors served from a
 //                               precomputed noise tile — an exact
 //                               LogNormal(0, sigma) quantile lattice,
-//                               shuffled once with counter-based hashes —
+//                               shuffled once with counter-based hashes,
+//                               one shared tile per sigma per process —
 //                               at a fresh random rotation per row draw.
 //                               Contract: *statistical* equivalence — the
 //                               factors follow the same LogNormal(0,
@@ -28,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,10 +53,9 @@ class NoiseModel {
   static constexpr std::size_t kTileSize = std::size_t{1} << 16;
 
   NoiseModel() = default;
-  NoiseModel(double sigma, KernelPolicy policy)
-      : sigma_(sigma), policy_(policy) {
-    if (policy_ == KernelPolicy::kFastNoise && enabled()) BuildTile();
-  }
+  // A kFastNoise model with sigma > 0 takes the process-wide tile for its
+  // sigma, built on first use; sigma must be finite.
+  NoiseModel(double sigma, KernelPolicy policy);
 
   [[nodiscard]] double sigma() const { return sigma_; }
   [[nodiscard]] KernelPolicy policy() const { return policy_; }
@@ -104,15 +105,17 @@ class NoiseModel {
   [[nodiscard]] static double LogNormalCdf(double x, double mu, double sigma);
 
  private:
-  // Fills tile_ with exp(sigma * Phi^-1((i + 0.5) / kTileSize)) — the exact
-  // midpoint-quantile lattice of LogNormal(0, sigma) — then Fisher-Yates
-  // shuffles it with counter-based hashes so any contiguous window is a
-  // simple random sample of the lattice.
-  void BuildTile();
+  // Returns exp(sigma * Phi^-1((i + 0.5) / kTileSize)) — the exact
+  // midpoint-quantile lattice of LogNormal(0, sigma) — Fisher-Yates
+  // shuffled with counter-based hashes so any contiguous window is a simple
+  // random sample of the lattice. A pure function of sigma.
+  static std::vector<double> BuildTile(double sigma);
 
   double sigma_ = 0.0;
   KernelPolicy policy_ = KernelPolicy::kFastBitExact;
-  std::vector<double> tile_;
+  // Shared with every model at sigma_; null unless kFastNoise with
+  // sigma > 0.
+  std::shared_ptr<const std::vector<double>> tile_;
 };
 
 namespace detail {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/event_queue.h"
-#include "common/quantize.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -271,36 +270,6 @@ TEST(EventQueueTest, MaxEventsGuard) {
   queue.ScheduleAt(TimeNs(0.0), reschedule);
   const std::uint64_t executed = queue.Run(100);
   EXPECT_EQ(executed, 100u);
-}
-
-TEST(QuantizeTest, SymmetricRoundtripWithinStep) {
-  SymmetricQuantizer q{.bits = 8, .range = 1.0};
-  Rng rng(23);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.Uniform(-1.0, 1.0);
-    EXPECT_NEAR(q.Roundtrip(x), x, q.step() / 2 + 1e-12);
-  }
-}
-
-TEST(QuantizeTest, SymmetricClampsOutOfRange) {
-  SymmetricQuantizer q{.bits = 4, .range = 1.0};
-  EXPECT_EQ(q.Encode(5.0), q.max_code());
-  EXPECT_EQ(q.Encode(-5.0), -q.max_code());
-}
-
-TEST(QuantizeTest, UnsignedLevels) {
-  UnsignedQuantizer q{.bits = 2, .range = 3.0};
-  EXPECT_EQ(q.levels(), 4u);
-  EXPECT_EQ(q.Encode(0.0), 0u);
-  EXPECT_EQ(q.Encode(3.0), 3u);
-  EXPECT_DOUBLE_EQ(q.Decode(3), 3.0);
-}
-
-TEST(QuantizeTest, SlicesNeeded) {
-  EXPECT_EQ(SlicesNeeded(8, 2), 4);   // 7 magnitude bits / 2 -> 4
-  EXPECT_EQ(SlicesNeeded(8, 4), 2);
-  EXPECT_EQ(SlicesNeeded(2, 2), 1);
-  EXPECT_EQ(SlicesNeeded(16, 4), 4);
 }
 
 }  // namespace

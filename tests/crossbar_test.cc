@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -69,6 +70,22 @@ TEST(CrossbarParamsTest, Validation) {
   p = QuietParams();
   p.ir_drop_alpha = 1.0;
   EXPECT_FALSE(p.Validate().ok());
+}
+
+TEST(CrossbarParamsTest, RejectsNonFiniteParameters) {
+  // NaN and +-inf pass the ordered range checks; Validate rejects them
+  // itself, for the array's own fields and (via cell.Validate) the cell's.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    CrossbarParams p = QuietParams();
+    p.ir_drop_alpha = bad;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << bad;
+    p = QuietParams();
+    p.cell.read_noise_sigma = bad;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << bad;
+    EXPECT_FALSE(Crossbar::Create(p, Rng(1)).ok()) << bad;
+  }
 }
 
 TEST(CrossbarTest, CreateRejectsBadParams) {

@@ -1,6 +1,8 @@
 // Unit tests for the memristor device model.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "device/memristor.h"
 
@@ -32,6 +34,24 @@ TEST(MemristorParamsTest, RejectsBadCellBits) {
   EXPECT_FALSE(p.Validate().ok());
   p.cell_bits = 9;
   EXPECT_FALSE(p.Validate().ok());
+}
+
+TEST(MemristorParamsTest, RejectsNonFiniteParameters) {
+  // NaN and +-inf pass every ordered range check, so Validate must reject
+  // them explicitly: a NaN sigma would silently disable read noise and an
+  // infinite one would build a noise tile of inf/0.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf, -kInf}) {
+    for (double MemristorParams::*field :
+         {&MemristorParams::g_on_siemens, &MemristorParams::g_off_siemens,
+          &MemristorParams::read_noise_sigma,
+          &MemristorParams::write_noise_sigma}) {
+      MemristorParams p;
+      p.*field = bad;
+      EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << bad;
+    }
+  }
 }
 
 TEST(MemristorParamsTest, LevelConductanceSpansRange) {

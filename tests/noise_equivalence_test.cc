@@ -12,14 +12,18 @@
 //   3. network level  — end-to-end DPE top-1 agreement with the golden
 //                       digital model matches the bit-exact kernel's.
 // Plus pinned accuracy checks for the detail:: building blocks the noise
-// tile is constructed from.
+// tile is constructed from, and checks that the one shared tile per sigma
+// is keyed correctly, keeps its pinned bits, and is race-free to construct.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "crossbar/mvm_engine.h"
 #include "device/noise_model.h"
 #include "dpe/accelerator.h"
@@ -44,6 +48,20 @@ std::vector<double> DrawFactors(const NoiseModel& model, std::uint64_t seed,
     model.FillFactors(rng, factors.data() + base, m);
   }
   return factors;
+}
+
+// FNV-1a over the bit patterns of `values`: pins exact doubles, not
+// approximate ones.
+std::uint64_t Fnv1a(const std::vector<double>& values) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001B3ULL;
+    }
+  }
+  return hash;
 }
 
 TEST(NoiseEquivalence, FastNoiseFactorsPassKsAndMomentGate) {
@@ -122,6 +140,69 @@ TEST(NoiseEquivalence, TileWraparoundAndDeterminism) {
   Rng manual(0xE0A5);
   manual.NextU64();
   EXPECT_EQ(rng.NextU64(), manual.NextU64());
+}
+
+TEST(NoiseEquivalence, SharedTilesAreKeyedBySigma) {
+  // Models at different sigmas interleaved with each other (and a copy)
+  // must each serve their own sigma's tile: the same factors, for a fixed
+  // rng seed, as a model built alone at that sigma, and factors that pass
+  // the contract gate at that sigma.
+  constexpr double kOther = 0.05;
+  const NoiseModel first(kSigma, KernelPolicy::kFastNoise);
+  const NoiseModel other(kOther, KernelPolicy::kFastNoise);
+  const NoiseModel second(kSigma, KernelPolicy::kFastNoise);
+  const NoiseModel copy = other;  // shares other's tile
+  const auto alone = [](double sigma) {
+    return DrawFactors(NoiseModel(sigma, KernelPolicy::kFastNoise), 0xE0AA,
+                       200'000);
+  };
+  const auto alone_sigma = alone(kSigma);
+  const auto alone_other = alone(kOther);
+  EXPECT_NE(alone_sigma, alone_other);
+  for (const NoiseModel* model : {&first, &other, &second, &copy}) {
+    const auto factors = DrawFactors(*model, 0xE0AA, 200'000);
+    EXPECT_EQ(factors, model->sigma() == kSigma ? alone_sigma : alone_other)
+        << "sigma " << model->sigma();
+    EXPECT_TRUE(model->CheckEquivalence(factors).pass())
+        << "sigma " << model->sigma();
+  }
+}
+
+TEST(NoiseEquivalence, SharedTileKeepsPinnedBits) {
+  // One 4,096-factor window at a fixed seed and sigma, checksummed bit for
+  // bit. The value was recorded when every model still built a private
+  // tile, so it pins the shared tile to the same lattice, shuffle and
+  // rotation draw.
+  const NoiseModel model(0.05, KernelPolicy::kFastNoise);
+  Rng rng(0xE0A9);
+  std::vector<double> window(4096);
+  model.FillFactors(rng, window.data(), window.size());
+  EXPECT_EQ(Fnv1a(window), 0x2CD1467BF7C39583ULL);
+}
+
+TEST(NoiseEquivalence, ConcurrentConstructionMatchesSerial) {
+  // Every worker of a 4-thread pool builds models for several sigmas at
+  // once (sigmas no other test uses, so the first builds race each other
+  // in the memo); each must draw exactly the factors a serially built model
+  // draws. Under the tsan preset this also checks the memo's locking.
+  const std::vector<double> sigmas = {0.031, 0.047, 0.063, 0.079};
+  constexpr std::size_t kTasks = 32;
+  constexpr std::size_t kDraw = 4096;
+  std::vector<std::vector<double>> parallel(kTasks);
+  {
+    ThreadPool pool(4);
+    pool.ParallelFor(kTasks, [&](std::size_t task) {
+      const NoiseModel model(sigmas[task % sigmas.size()],
+                             KernelPolicy::kFastNoise);
+      parallel[task] = DrawFactors(model, 0xE0AB + task, kDraw);
+    });
+  }
+  for (std::size_t task = 0; task < kTasks; ++task) {
+    const NoiseModel serial(sigmas[task % sigmas.size()],
+                            KernelPolicy::kFastNoise);
+    EXPECT_EQ(parallel[task], DrawFactors(serial, 0xE0AB + task, kDraw))
+        << "task " << task;
+  }
 }
 
 TEST(NoiseEquivalence, NoisyMvmStaysCentredOnQuietReference) {
