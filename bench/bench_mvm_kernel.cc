@@ -8,7 +8,10 @@
 //      4 slices x 2 planes = 64 analog cycles) — the headline numbers: the
 //      quiet-device bit-exact path must be >= 4x the reference kernel, and
 //      the noisy-device fast-noise path must be >= 5x (the libm wall the
-//      bit-exact contract could not cross).
+//      bit-exact contract could not cross). A report-only row repeats the
+//      noisy bit-exact comparison for a narrow layer (out_dim 10 plus the
+//      guard column: 11 of 128 columns sensed), where the fast kernel
+//      computes noise only for the sensed columns.
 //   3. End-to-end DpeAccelerator::InferBatch throughput at 1 and 8 worker
 //      threads (noise on — the realistic serving configuration), for the
 //      bit-exact and fast-noise policies.
@@ -120,11 +123,12 @@ MvmEngineParams EngineParams(double sigma, KernelPolicy kernel) {
   return p;
 }
 
-MvmEngine MakeProgrammedEngine(const MvmEngineParams& params) {
-  auto engine = MvmEngine::Create(params, 128, 128, Rng(kSeed + 2));
+MvmEngine MakeProgrammedEngine(const MvmEngineParams& params,
+                               std::size_t out_dim = 128) {
+  auto engine = MvmEngine::Create(params, 128, out_dim, Rng(kSeed + 2));
   CIM_CHECK(engine.ok());
   Rng weight_rng(kSeed + 3);
-  std::vector<double> w(128 * 128);
+  std::vector<double> w(128 * out_dim);
   for (double& v : w) v = weight_rng.Uniform(-1.0, 1.0);
   CIM_CHECK(engine->ProgramWeights(w).ok());
   return std::move(engine.value());
@@ -154,6 +158,19 @@ struct MvmPoint {
   }
   [[nodiscard]] double fast_noise_speedup() const {
     return ref_us / fast_noise_us;
+  }
+};
+
+// The narrow-layer row: bit-exact vs reference on a noisy tile whose
+// kGatedOutDim outputs plus the guard column are the only sensed columns.
+// Report-only, no gate.
+constexpr std::size_t kGatedOutDim = 10;
+
+struct GatedMvmPoint {
+  double ref_us = 0.0;
+  double bit_exact_us = 0.0;
+  [[nodiscard]] double bit_exact_speedup() const {
+    return ref_us / bit_exact_us;
   }
 };
 
@@ -272,8 +289,9 @@ double MeasureCycleNsPerCell(const CrossbarParams& params, double min_s) {
   return per_call * 1e9 / static_cast<double>(params.rows * params.cols);
 }
 
-double MeasureMvmUs(const MvmEngineParams& params, double min_s) {
-  MvmEngine engine = MakeProgrammedEngine(params);
+double MeasureMvmUs(const MvmEngineParams& params, double min_s,
+                    std::size_t out_dim = 128) {
+  MvmEngine engine = MakeProgrammedEngine(params, out_dim);
   Rng in_rng(kSeed + 6);
   std::vector<double> x(128);
   for (double& v : x) v = in_rng.Uniform(0.0, 1.0);
@@ -359,7 +377,7 @@ void WriteMvmRows(std::FILE* out, const std::vector<MvmPoint>& mvms,
 }
 
 void WriteJson(const std::string& path, const std::vector<CyclePoint>& cycles,
-               const std::vector<MvmPoint>& mvms,
+               const std::vector<MvmPoint>& mvms, const GatedMvmPoint& gated,
                const std::vector<InferPoint>& infer, bool identical,
                const EquivalenceResult& equiv) {
   std::FILE* out = std::fopen(path.c_str(), "w");
@@ -393,7 +411,14 @@ void WriteJson(const std::string& path, const std::vector<CyclePoint>& cycles,
   WriteCycleRows(out, cycles, kNoisySigma);
   std::fprintf(out, "    ],\n    \"tile_mvm_128x128\": [\n");
   WriteMvmRows(out, mvms, kNoisySigma);
-  std::fprintf(out, "    ]\n  },\n  \"infer_batch\": [\n");
+  std::fprintf(out,
+               "    ],\n    \"tile_mvm_128x128_gated\": "
+               "{\"read_noise_sigma\": %.3f, \"out_dim\": %zu, "
+               "\"sensed_cols\": %zu, \"reference_us\": %.1f, "
+               "\"fast_bit_exact_us\": %.1f, \"speedup_bit_exact\": %.2f}\n",
+               kNoisySigma, kGatedOutDim, kGatedOutDim + 1, gated.ref_us,
+               gated.bit_exact_us, gated.bit_exact_speedup());
+  std::fprintf(out, "  },\n  \"infer_batch\": [\n");
   for (std::size_t i = 0; i < infer.size(); ++i) {
     std::fprintf(out,
                  "    {\"kernel\": \"%s\", \"threads\": %zu, "
@@ -488,6 +513,22 @@ int main(int argc, char** argv) {
     mvms.push_back(p);
   }
 
+  // Report-only: a 10-output layer with its guard column senses 11 of the
+  // tile's 128 columns; the fast kernel computes noise for those alone.
+  GatedMvmPoint gated;
+  MvmEngineParams gated_ref =
+      EngineParams(kNoisySigma, KernelPolicy::kReference);
+  MvmEngineParams gated_exact =
+      EngineParams(kNoisySigma, KernelPolicy::kFastBitExact);
+  gated_ref.guard_column = true;
+  gated_exact.guard_column = true;
+  gated.ref_us = MeasureMvmUs(gated_ref, min_s, kGatedOutDim);
+  gated.bit_exact_us = MeasureMvmUs(gated_exact, min_s, kGatedOutDim);
+  std::printf("%-7.3f %11.1f %11.1f %11s %8.2fx %9s  (out_dim %zu + guard: "
+              "%zu/128 columns sensed, report only)\n",
+              kNoisySigma, gated.ref_us, gated.bit_exact_us, "-",
+              gated.bit_exact_speedup(), "-", kGatedOutDim, kGatedOutDim + 1);
+
   std::printf("\n== DpeAccelerator::InferBatch (noise on, batch 8) ==\n");
   std::printf("%-16s %-8s %14s\n", "kernel", "threads", "inf/sec");
   std::vector<InferPoint> infer;
@@ -508,7 +549,7 @@ int main(int argc, char** argv) {
       "performance)\n");
 
   if (!json_path.empty()) {
-    WriteJson(json_path, cycles, mvms, infer, identical, equiv);
+    WriteJson(json_path, cycles, mvms, gated, infer, identical, equiv);
   }
 
   // Timing gates (skipped in smoke mode — sanitizer builds distort

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numbers>
@@ -111,6 +112,25 @@ class Rng {
 
   double Gaussian(double mean, double stddev) {
     return mean + stddev * Gaussian();
+  }
+
+  // Advance the state exactly as `k` Gaussian() calls would, without the
+  // transcendental work for the variates nobody reads: a pending cached
+  // partner is dropped, each whole Box-Muller pair replays only its raw
+  // draws (including the u1 rejection loop), and a real Gaussian() runs
+  // only when an odd tail must leave a partner cached for the next caller.
+  void SkipGaussians(std::size_t k) {
+    if (k == 0) return;
+    if (have_gaussian_) {
+      have_gaussian_ = false;
+      --k;
+    }
+    for (; k >= 2; k -= 2) {
+      double u1 = NextDouble();
+      while (u1 <= std::numeric_limits<double>::min()) u1 = NextDouble();
+      NextU64();  // u2
+    }
+    if (k == 1) Gaussian();
   }
 
   // Lognormal parameterized by the underlying normal's mu/sigma; used for

@@ -21,6 +21,18 @@ Status CrossbarParams::Validate() const {
       ir_drop_alpha >= 1.0) {
     return InvalidArgument("ir_drop_alpha must be in [0, 1)");
   }
+  // Converter widths feed 1 << bits shifts and code/max_code divisions, so
+  // anything outside [1, 16] (the DSE adc_bits range) is rejected here
+  // rather than reaching UB or a 0/0.
+  if (adc.bits < 1 || adc.bits > 16 || dac.bits < 1 || dac.bits > 16) {
+    return InvalidArgument("adc.bits and dac.bits must be in [1, 16]");
+  }
+  if (adc.reference_bits < 1) {
+    return InvalidArgument("adc.reference_bits must be at least 1");
+  }
+  if (!std::isfinite(dac.v_read) || dac.v_read <= 0.0) {
+    return InvalidArgument("dac.v_read must be finite and positive");
+  }
   return cell.Validate();
 }
 
@@ -210,22 +222,27 @@ void Crossbar::ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
   }
 }
 
-void Crossbar::ForwardAccumulateFast(const DrivePattern& drive, Rng& rng,
+void Crossbar::ForwardAccumulateFast(const DrivePattern& drive,
+                                     std::size_t active_cols, Rng& rng,
                                      std::span<double> currents,
                                      double& energy_pj) {
   const std::size_t cols = params_.cols;
   const double sigma = params_.cell.read_noise_sigma;
   const double ceiling = params_.cell.g_on_siemens * 1.5;
-  // Per driven row: draw the row's noise factors into a scratch buffer —
-  // under the bit-exact policies in the same order the reference kernel
-  // consumes the stream (row-major, every column of an active row), under
-  // kFastNoise from the NoiseModel's counter-based streams — then run a
-  // dense accumulate over the contiguous conductance mirror. The two loops
-  // split the sampling from the arithmetic, so the second loop
-  // auto-vectorizes; each column owns an independent accumulator chain, so
-  // vectorizing across columns cannot reorder any FP sum.
+  // Per driven row: draw the sensed prefix's noise factors into a scratch
+  // buffer — under the bit-exact policies in the same order the reference
+  // kernel consumes the stream (row-major, every column of an active row,
+  // the unsensed tail skipped rather than computed), under kFastNoise from
+  // the NoiseModel's tile — then run a dense accumulate over the contiguous
+  // conductance mirror. Only the first `active_cols` currents are computed:
+  // no ADC reads the rest. The two loops split the sampling from the
+  // arithmetic, so the second loop auto-vectorizes; each column owns an
+  // independent accumulator chain, so vectorizing across columns cannot
+  // reorder any FP sum.
   thread_local std::vector<double> factors;
-  if (sigma > 0.0 && factors.size() < cols) factors.resize(cols);
+  if (sigma > 0.0 && factors.size() < active_cols) {
+    factors.resize(active_cols);
+  }
   for (std::size_t r = 0; r < params_.rows; ++r) {
     const double v = drive.voltages[r];
     if (v == 0.0) continue;
@@ -236,13 +253,13 @@ void Crossbar::ForwardAccumulateFast(const DrivePattern& drive, Rng& rng,
     double* __restrict cur = currents.data();
     if (sigma > 0.0) {
       double* __restrict f = factors.data();
-      noise_.FillFactors(rng, f, cols);
-      for (std::size_t c = 0; c < cols; ++c) {
+      noise_.FillFactors(rng, f, active_cols, cols);
+      for (std::size_t c = 0; c < active_cols; ++c) {
         const double g = std::clamp(g_row[c] * f[c], 0.0, ceiling);
         cur[c] += v * g;
       }
     } else {
-      for (std::size_t c = 0; c < cols; ++c) {
+      for (std::size_t c = 0; c < active_cols; ++c) {
         const double g = std::clamp(g_row[c], 0.0, ceiling);
         cur[c] += v * g;
       }
@@ -270,14 +287,17 @@ void Crossbar::TransposeAccumulateReference(const DrivePattern& drive,
   }
 }
 
-void Crossbar::TransposeAccumulateFast(const DrivePattern& drive, Rng& rng,
+void Crossbar::TransposeAccumulateFast(const DrivePattern& drive,
+                                       std::size_t active_rows, Rng& rng,
                                        std::span<double> currents,
                                        double& energy_pj) {
   const std::size_t rows = params_.rows;
   const double sigma = params_.cell.read_noise_sigma;
   const double ceiling = params_.cell.g_on_siemens * 1.5;
   thread_local std::vector<double> factors;
-  if (sigma > 0.0 && factors.size() < rows) factors.resize(rows);
+  if (sigma > 0.0 && factors.size() < active_rows) {
+    factors.resize(active_rows);
+  }
   for (std::size_t c = 0; c < params_.cols; ++c) {
     const double v = drive.voltages[c];
     if (v == 0.0) continue;
@@ -287,13 +307,13 @@ void Crossbar::TransposeAccumulateFast(const DrivePattern& drive, Rng& rng,
     double* __restrict cur = currents.data();
     if (sigma > 0.0) {
       double* __restrict f = factors.data();
-      noise_.FillFactors(rng, f, rows);
-      for (std::size_t r = 0; r < rows; ++r) {
+      noise_.FillFactors(rng, f, active_rows, rows);
+      for (std::size_t r = 0; r < active_rows; ++r) {
         const double g = std::clamp(g_col[r] * f[r], 0.0, ceiling);
         cur[r] += v * g;
       }
     } else {
-      for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t r = 0; r < active_rows; ++r) {
         const double g = std::clamp(g_col[r], 0.0, ceiling);
         cur[r] += v * g;
       }
@@ -340,7 +360,7 @@ Expected<AnalogCycleResult> Crossbar::CycleDriven(const DrivePattern& drive,
   if (params_.kernel == device::KernelPolicy::kReference) {
     ForwardAccumulateReference(drive, rng, currents, energy_pj);
   } else {
-    ForwardAccumulateFast(drive, rng, currents, energy_pj);
+    ForwardAccumulateFast(drive, active_cols, rng, currents, energy_pj);
   }
   result.cost.energy_pj = energy_pj;
   const std::size_t active_rows = drive.active;
@@ -407,7 +427,7 @@ Expected<AnalogCycleResult> Crossbar::CycleTransposeDriven(
   if (params_.kernel == device::KernelPolicy::kReference) {
     TransposeAccumulateReference(drive, rng, currents, energy_pj);
   } else {
-    TransposeAccumulateFast(drive, rng, currents, energy_pj);
+    TransposeAccumulateFast(drive, active_rows, rng, currents, energy_pj);
   }
   result.cost.energy_pj = energy_pj;
   const std::size_t active_cols = drive.active;

@@ -56,11 +56,14 @@ struct CrossbarParams {
   //                   enforces it; only cycle energy differs in the last
   //                   ulps, since read energy folds to one analytic add per
   //                   driven line).
-  //   kFastNoise    — SoA fast path with device::NoiseModel's counter-based
-  //                   vectorizable sampler: statistically equivalent noise
-  //                   (KS + moment gate, NN accuracy parity), not
-  //                   bit-identical. The serving configuration for noisy
-  //                   devices.
+  //   kFastNoise    — SoA fast path with device::NoiseModel's shared noise
+  //                   tile: statistically equivalent noise (KS + moment
+  //                   gate, NN accuracy parity), not bit-identical. The
+  //                   serving configuration for noisy devices.
+  // Both fast paths compute noise factors and currents only for the lines
+  // the ADC senses (`active_cols` / `active_rows`); the bit-exact one still
+  // advances the noise stream over every cell of a driven line, so gating
+  // never shifts a later draw.
   device::KernelPolicy kernel = device::KernelPolicy::kFastBitExact;
 
   [[nodiscard]] Status Validate() const;
@@ -204,16 +207,20 @@ class Crossbar {
   // kFastNoise — noise_.FillFactors owns the sampling difference; identical
   // column codes between kReference and kFastBitExact by construction (the
   // differential test, mvm_kernel_test, enforces it), statistical
-  // equivalence for kFastNoise (noise_equivalence_test + bench gate).
+  // equivalence for kFastNoise (noise_equivalence_test + bench gate). The
+  // Fast variants touch only the sensed prefix (`active_cols` /
+  // `active_rows`, already resolved from 0; see CrossbarParams::kernel).
   void ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
                                   std::span<double> currents,
                                   double& energy_pj);
-  void ForwardAccumulateFast(const DrivePattern& drive, Rng& rng,
+  void ForwardAccumulateFast(const DrivePattern& drive,
+                             std::size_t active_cols, Rng& rng,
                              std::span<double> currents, double& energy_pj);
   void TransposeAccumulateReference(const DrivePattern& drive, Rng& rng,
                                     std::span<double> currents,
                                     double& energy_pj);
-  void TransposeAccumulateFast(const DrivePattern& drive, Rng& rng,
+  void TransposeAccumulateFast(const DrivePattern& drive,
+                               std::size_t active_rows, Rng& rng,
                                std::span<double> currents, double& energy_pj);
 
   CrossbarParams params_;

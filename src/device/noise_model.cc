@@ -177,7 +177,9 @@ NoiseModel::NoiseModel(double sigma, KernelPolicy policy)
   tile_ = tile;
 }
 
-void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n) const {
+void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n,
+                             std::size_t draws) const {
+  CIM_DCHECK(n <= draws);
   if (policy_ == KernelPolicy::kFastNoise) {
     CIM_DCHECK(tile_ != nullptr);
     // One serial draw per call rotates the tile to a fresh window, so
@@ -198,8 +200,9 @@ void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n) const {
     return;
   }
   // Bit-exact contract: reproduce the reference kernel's LogNormal stream
-  // draw for draw.
+  // draw for draw; the unread tail only advances the stream.
   for (std::size_t i = 0; i < n; ++i) out[i] = rng.LogNormal(0.0, sigma_);
+  rng.SkipGaussians(draws - n);
 }
 
 std::vector<double> NoiseModel::BuildTile(double sigma) {

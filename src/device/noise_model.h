@@ -7,7 +7,9 @@
 //   KernelPolicy::kReference    per-cell AoS kernel; scalar libm sampling.
 //                               The golden model — defines the stream.
 //   KernelPolicy::kFastBitExact SoA two-pass kernel; scalar libm sampling
-//                               in the reference draw order. Contract:
+//                               in the reference draw order, only for
+//                               the sensed lines (the rest of the stream
+//                               is skipped, not computed). Contract:
 //                               bit-identical outputs to kReference.
 //   KernelPolicy::kFastNoise    SoA kernel; factors served from a
 //                               precomputed noise tile — an exact
@@ -67,17 +69,29 @@ class NoiseModel {
     return policy_ != KernelPolicy::kFastNoise;
   }
 
-  // Fill out[0..n) with multiplicative read-noise factors.
+  // Fill out[0..n) with multiplicative read-noise factors, advancing `rng`
+  // exactly as a fill of `draws` >= n factors would — the kernels compute
+  // only the sensed prefix of a line while the stream still covers the
+  // whole line, so the next line's factors stay where the reference puts
+  // them.
   //
-  //   kReference / kFastBitExact: consumes exactly n LogNormal draws from
-  //     `rng`, in order — bit-identical to the reference kernel's stream.
+  //   kReference / kFastBitExact: computes n LogNormal draws from `rng`, in
+  //     order, then skips the other draws - n Gaussians without libm
+  //     (Rng::SkipGaussians) — bit-identical to the reference kernel's
+  //     stream for the first n factors and for every later draw.
   //   kFastNoise: consumes exactly ONE u64 from `rng` (the tile rotation)
-  //     and copies n consecutive entries of the precomputed noise tile,
-  //     wrapping around — per-factor cost is an L2 load, not libm.
+  //     whatever `draws` is, and copies n consecutive entries of the
+  //     precomputed noise tile, wrapping around — per-factor cost is an L2
+  //     load, not libm.
   //
   // Callers pass one call per active row; the serial draw keeps successive
   // rows (and successive cycles) on decorrelated tile windows.
-  void FillFactors(Rng& rng, double* out, std::size_t n) const;
+  void FillFactors(Rng& rng, double* out, std::size_t n,
+                   std::size_t draws) const;
+  // The whole-line fill: draws == n.
+  void FillFactors(Rng& rng, double* out, std::size_t n) const {
+    FillFactors(rng, out, n, n);
+  }
 
   // ---- The statistical-equivalence contract -------------------------------
 

@@ -108,6 +108,33 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(stat.stddev(), 2.0, 0.05);
 }
 
+TEST(RngTest, SkipGaussiansMatchesDrawingThem) {
+  // The fast crossbar kernels skip the noise draws of unsensed columns; the
+  // stream after the skip must be exactly where k Gaussian() calls leave
+  // it, whether or not a Box-Muller partner was cached going in and whether
+  // k leaves one cached coming out.
+  for (const bool cached : {false, true}) {
+    for (std::size_t k = 0; k <= 9; ++k) {
+      Rng drawn(29 + k);
+      Rng skipped(29 + k);
+      if (cached) {
+        drawn.Gaussian();
+        skipped.Gaussian();
+      }
+      for (std::size_t i = 0; i < k; ++i) drawn.Gaussian();
+      skipped.SkipGaussians(k);
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(drawn.Gaussian(), skipped.Gaussian())
+            << "cached=" << cached << " k=" << k << " i=" << i;
+      }
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(drawn.NextU64(), skipped.NextU64())
+            << "cached=" << cached << " k=" << k << " i=" << i;
+      }
+    }
+  }
+}
+
 TEST(RngTest, ExponentialMean) {
   Rng rng(17);
   RunningStat stat;

@@ -88,6 +88,41 @@ TEST(CrossbarParamsTest, RejectsNonFiniteParameters) {
   }
 }
 
+TEST(CrossbarParamsTest, RejectsOutOfRangeConverterParameters) {
+  // Widths outside [1, 16] would shift by >= 64 or divide 0/0 in the
+  // ADC/DAC transfer functions; a zero reference width makes conversion
+  // latency infinite.
+  for (const int bad : {0, -1, 17, 64}) {
+    CrossbarParams p = QuietParams();
+    p.adc.bits = bad;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << bad;
+    EXPECT_FALSE(Crossbar::Create(p, Rng(1)).ok()) << bad;
+    p = QuietParams();
+    p.dac.bits = bad;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << bad;
+    EXPECT_FALSE(Crossbar::Create(p, Rng(1)).ok()) << bad;
+  }
+  for (const int good : {1, 16}) {
+    CrossbarParams p = QuietParams();
+    p.adc.bits = good;
+    p.dac.bits = good;
+    EXPECT_TRUE(p.Validate().ok()) << good;
+  }
+  for (const int bad : {0, -1}) {
+    CrossbarParams p = QuietParams();
+    p.adc.reference_bits = bad;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << bad;
+  }
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -0.2, kNan, kInf, -kInf}) {
+    CrossbarParams p = QuietParams();
+    p.dac.v_read = bad;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument) << bad;
+    EXPECT_FALSE(Crossbar::Create(p, Rng(1)).ok()) << bad;
+  }
+}
+
 TEST(CrossbarTest, CreateRejectsBadParams) {
   CrossbarParams p = QuietParams();
   p.rows = 0;

@@ -214,7 +214,8 @@ TEST(KernelDifferentialTest, RawCycleColumnCodesBitIdentical) {
   std::vector<std::uint64_t> row_codes(fast->rows(), 0);
   for (std::size_t r = 0; r < row_codes.size(); r += 2) row_codes[r] = 1;
   // Partial column gating: the noise stream still covers every column of an
-  // active row, so codes for the sensed prefix must match exactly.
+  // active row, but only the sensed prefix is computed, so codes for that
+  // prefix must match exactly.
   for (std::size_t active_cols : {std::size_t{0}, std::size_t{7}}) {
     Rng fast_rng(DeriveSeed(kSeed, active_cols));
     Rng ref_rng(DeriveSeed(kSeed, active_cols));
@@ -236,6 +237,68 @@ TEST(KernelDifferentialTest, RawCycleColumnCodesBitIdentical) {
     ASSERT_TRUE(f.ok() && r.ok());
     EXPECT_EQ(f->column_codes, r->column_codes);
   }
+}
+
+TEST(KernelDifferentialTest, GatedCyclesKeepTheStreamAligned) {
+  // The fast kernel computes factors only for the sensed prefix and skips
+  // the rest of each driven line's draws. Odd line lengths in both
+  // directions leave a Box-Muller partner cached across line boundaries,
+  // and back-to-back cycles on one stream make any skip that lands on the
+  // wrong position show up in the next cycle's codes.
+  auto make = [](device::KernelPolicy kernel) {
+    CrossbarParams p = NoisyArrayParams(kernel);
+    p.rows = 23;
+    p.cols = 21;
+    p.adc.bits = 12;  // fine codes: a shifted noise draw moves a code
+    return Crossbar::Create(p, Rng(kSeed));
+  };
+  auto fast = make(device::KernelPolicy::kFastBitExact);
+  auto reference = make(device::KernelPolicy::kReference);
+  ASSERT_TRUE(fast.ok() && reference.ok());
+  Rng lrng(kSeed + 11);
+  const auto levels = RandomLevels(fast->params(), lrng);
+  ASSERT_TRUE(fast->ProgramLevels(levels).ok());
+  ASSERT_TRUE(reference->ProgramLevels(levels).ok());
+
+  const std::vector<std::size_t> widths = {1, 2, 7, 20, 0};
+  Rng drive_rng(kSeed + 12);
+  auto random_drive = [&drive_rng](std::size_t n) {
+    std::vector<std::uint64_t> codes(n);
+    for (auto& code : codes) code = drive_rng.Bernoulli(0.6) ? 1 : 0;
+    return codes;
+  };
+  // One external stream per side, then the internal stream (null).
+  Rng fast_rng(DeriveSeed(kSeed, 21));
+  Rng ref_rng(DeriveSeed(kSeed, 21));
+  for (const bool external : {true, false}) {
+    Rng* fast_stream = external ? &fast_rng : nullptr;
+    Rng* ref_stream = external ? &ref_rng : nullptr;
+    for (int round = 0; round < 2; ++round) {
+      for (const std::size_t width : widths) {
+        const auto row_codes = random_drive(fast->rows());
+        auto f = fast->Cycle(row_codes, width, fast_stream);
+        auto r = reference->Cycle(row_codes, width, ref_stream);
+        ASSERT_TRUE(f.ok() && r.ok());
+        EXPECT_EQ(f->column_codes, r->column_codes)
+            << "forward, external=" << external << " width=" << width;
+        const auto col_codes = random_drive(fast->cols());
+        f = fast->CycleTranspose(col_codes, width, fast_stream);
+        r = reference->CycleTranspose(col_codes, width, ref_stream);
+        ASSERT_TRUE(f.ok() && r.ok());
+        EXPECT_EQ(f->column_codes, r->column_codes)
+            << "transpose, external=" << external << " width=" << width;
+      }
+    }
+  }
+  // The external streams end at the same position...
+  EXPECT_EQ(fast_rng.NextU64(), ref_rng.NextU64());
+  // ...and so do the internal ones: a trailing full-width cycle on each
+  // still matches code for code.
+  const std::vector<std::uint64_t> all_rows(fast->rows(), 1);
+  auto f = fast->Cycle(all_rows);
+  auto r = reference->Cycle(all_rows);
+  ASSERT_TRUE(f.ok() && r.ok());
+  EXPECT_EQ(f->column_codes, r->column_codes);
 }
 
 // -- Conductance-mirror invalidation matrix ---------------------------------
