@@ -7,11 +7,13 @@
 //   2. A full 128x128 tile MVM through MvmEngine::Compute (8 input bits x
 //      4 slices x 2 planes = 64 analog cycles) — the headline numbers: the
 //      quiet-device bit-exact path must be >= 4x the reference kernel, and
-//      the noisy-device fast-noise path must be >= 5x (the libm wall the
-//      bit-exact contract could not cross). A report-only row repeats the
-//      noisy bit-exact comparison for a narrow layer (out_dim 10 plus the
-//      guard column: 11 of 128 columns sensed), where the fast kernel
-//      computes noise only for the sensed columns.
+//      the noisy-device fast-noise path must be >= 5x (its tile copy skips
+//      per-draw sampling altogether). A report-only row repeats
+//      the noisy bit-exact comparison for a narrow layer (out_dim 10 plus
+//      the guard column: 11 of 128 columns sensed), where the fast kernel
+//      computes noise only for the sensed columns. Also report-only: the
+//      fraction of the noisy bit-exact cycles above whose certified
+//      polynomial-noise codes were ambiguous and replayed on libm.
 //   3. End-to-end DpeAccelerator::InferBatch throughput at 1 and 8 worker
 //      threads (noise on — the realistic serving configuration), for the
 //      bit-exact and fast-noise policies.
@@ -173,6 +175,14 @@ struct GatedMvmPoint {
     return ref_us / bit_exact_us;
   }
 };
+
+// Share of the certified bit-exact cycles that replayed on the exact
+// sampler. Report-only, no gate.
+double ReplayFraction(const cim::crossbar::CertificationTally& tally) {
+  return tally.cycles == 0 ? 0.0
+                           : static_cast<double>(tally.replays) /
+                                 static_cast<double>(tally.cycles);
+}
 
 struct InferPoint {
   KernelPolicy kernel = KernelPolicy::kFastBitExact;
@@ -378,6 +388,7 @@ void WriteMvmRows(std::FILE* out, const std::vector<MvmPoint>& mvms,
 
 void WriteJson(const std::string& path, const std::vector<CyclePoint>& cycles,
                const std::vector<MvmPoint>& mvms, const GatedMvmPoint& gated,
+               const cim::crossbar::CertificationTally& replay,
                const std::vector<InferPoint>& infer, bool identical,
                const EquivalenceResult& equiv) {
   std::FILE* out = std::fopen(path.c_str(), "w");
@@ -415,9 +426,15 @@ void WriteJson(const std::string& path, const std::vector<CyclePoint>& cycles,
                "    ],\n    \"tile_mvm_128x128_gated\": "
                "{\"read_noise_sigma\": %.3f, \"out_dim\": %zu, "
                "\"sensed_cols\": %zu, \"reference_us\": %.1f, "
-               "\"fast_bit_exact_us\": %.1f, \"speedup_bit_exact\": %.2f}\n",
+               "\"fast_bit_exact_us\": %.1f, \"speedup_bit_exact\": %.2f},\n",
                kNoisySigma, kGatedOutDim, kGatedOutDim + 1, gated.ref_us,
                gated.bit_exact_us, gated.bit_exact_speedup());
+  std::fprintf(out,
+               "    \"bit_exact_certified\": {\"cycles\": %llu, "
+               "\"replayed\": %llu, \"replay_fraction\": %.6f}\n",
+               static_cast<unsigned long long>(replay.cycles),
+               static_cast<unsigned long long>(replay.replays),
+               ReplayFraction(replay));
   std::fprintf(out, "  },\n  \"infer_batch\": [\n");
   for (std::size_t i = 0; i < infer.size(); ++i) {
     std::fprintf(out,
@@ -470,6 +487,9 @@ int main(int argc, char** argv) {
       equiv.bit_exact_top1_agreement, equiv.fast_noise_top1_agreement);
   if (!equiv.pass()) return 1;
 
+  // Every certified cycle from here through the gated MVM row runs on this
+  // thread, so the thread's tally is exactly theirs.
+  cim::crossbar::ThreadCertificationTally() = {};
   std::printf("\n== Crossbar::Cycle (all rows driven, ns per cell) ==\n");
   std::printf("%-6s %-7s %11s %11s %11s %9s %9s\n", "size", "sigma", "ref",
               "bit-exact", "fast-noise", "be-spdup", "fn-spdup");
@@ -528,6 +548,13 @@ int main(int argc, char** argv) {
               "%zu/128 columns sensed, report only)\n",
               kNoisySigma, gated.ref_us, gated.bit_exact_us, "-",
               gated.bit_exact_speedup(), "-", kGatedOutDim, kGatedOutDim + 1);
+  const cim::crossbar::CertificationTally replay =
+      cim::crossbar::ThreadCertificationTally();
+  std::printf("certified bit-exact cycles: %llu, replayed on libm: %llu "
+              "(%.4f%%, report only)\n",
+              static_cast<unsigned long long>(replay.cycles),
+              static_cast<unsigned long long>(replay.replays),
+              100.0 * ReplayFraction(replay));
 
   std::printf("\n== DpeAccelerator::InferBatch (noise on, batch 8) ==\n");
   std::printf("%-16s %-8s %14s\n", "kernel", "threads", "inf/sec");
@@ -544,12 +571,13 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nquiet-device (sigma=0) rows show the kernels' arithmetic gain; "
-      "noisy rows show kFastNoise breaking the libm wall that pins the "
-      "bit-exact path near 1x (see EXPERIMENTS.md, Simulator "
-      "performance)\n");
+      "noisy rows show the bit-exact path's certified polynomial noise and "
+      "kFastNoise's precomputed tile both getting past libm (see "
+      "EXPERIMENTS.md, Simulator performance)\n");
 
   if (!json_path.empty()) {
-    WriteJson(json_path, cycles, mvms, gated, infer, identical, equiv);
+    WriteJson(json_path, cycles, mvms, gated, replay, infer, identical,
+              equiv);
   }
 
   // Timing gates (skipped in smoke mode — sanitizer builds distort

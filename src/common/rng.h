@@ -14,6 +14,8 @@
 #include <limits>
 #include <numbers>
 
+#include "common/contracts.h"
+
 namespace cim {
 
 // Deterministically derive an independent seed for stream `index` of a
@@ -100,11 +102,10 @@ class Rng {
       have_gaussian_ = false;
       return cached_gaussian_;
     }
-    double u1 = NextDouble();
-    while (u1 <= std::numeric_limits<double>::min()) u1 = NextDouble();
+    const double u1 = NextBoxMullerU1();
     const double u2 = NextDouble();
-    const double radius = std::sqrt(-2.0 * std::log(u1));
-    const double angle = 2.0 * std::numbers::pi * u2;
+    const double radius = BoxMullerRadius(u1);
+    const double angle = BoxMullerAngle(u2);
     cached_gaussian_ = radius * std::sin(angle);
     have_gaussian_ = true;
     return radius * std::cos(angle);
@@ -112,6 +113,58 @@ class Rng {
 
   double Gaussian(double mean, double stddev) {
     return mean + stddev * Gaussian();
+  }
+
+  // True when the next Gaussian() returns a cached Box-Muller partner.
+  [[nodiscard]] bool has_cached_gaussian() const { return have_gaussian_; }
+
+  // The Box-Muller inputs of the next `k` Gaussian() calls, in stream
+  // order, for callers that evaluate the transform themselves:
+  //   * a pending cached partner is variate 0 — `cached` is set and
+  //     `cached_value` is its exact value;
+  //   * every other variate belongs to a pair j < `pairs` with inputs
+  //     (u1[j], u2[j]) — the u1 rejection loop already replayed — whose
+  //     variates are radius(u1) * cos(angle(u2)), then radius * sin(angle);
+  //   * when `k` ends mid-pair, the last pair's sin variate is computed
+  //     with libm and left cached, exactly as Gaussian() leaves it;
+  //   * the stream ends exactly where `k` Gaussian() calls leave it.
+  // u1 and u2 must each hold (k + 1) / 2 entries.
+  struct BoxMullerUniforms {
+    bool cached = false;
+    double cached_value = 0.0;
+    std::size_t pairs = 0;
+  };
+  BoxMullerUniforms NextBoxMullerUniforms(std::size_t k, double* u1,
+                                          double* u2) {
+    BoxMullerUniforms draws;
+    if (k == 0) return draws;
+    if (have_gaussian_) {
+      have_gaussian_ = false;
+      draws.cached = true;
+      draws.cached_value = cached_gaussian_;
+      --k;
+    }
+    draws.pairs = (k + 1) / 2;
+    for (std::size_t j = 0; j < draws.pairs; ++j) {
+      u1[j] = NextBoxMullerU1();
+      u2[j] = NextDouble();
+    }
+    if (k % 2 == 1) {
+      const std::size_t last = draws.pairs - 1;
+      cached_gaussian_ =
+          BoxMullerRadius(u1[last]) * std::sin(BoxMullerAngle(u2[last]));
+      have_gaussian_ = true;
+    }
+    return draws;
+  }
+
+  // The Box-Muller transform's two halves, exactly as Gaussian() evaluates
+  // them: radius sqrt(-2 ln u1) and angle 2 pi u2.
+  [[nodiscard]] static double BoxMullerRadius(double u1) {
+    return std::sqrt(-2.0 * std::log(u1));
+  }
+  [[nodiscard]] static double BoxMullerAngle(double u2) {
+    return 2.0 * std::numbers::pi * u2;
   }
 
   // Advance the state exactly as `k` Gaussian() calls would, without the
@@ -126,8 +179,7 @@ class Rng {
       --k;
     }
     for (; k >= 2; k -= 2) {
-      double u1 = NextDouble();
-      while (u1 <= std::numeric_limits<double>::min()) u1 = NextDouble();
+      NextBoxMullerU1();
       NextU64();  // u2
     }
     if (k == 1) Gaussian();
@@ -149,8 +201,12 @@ class Rng {
   }
 
   // Zipf-distributed rank in [1, n]; used by KVS / search workload
-  // generators for skewed key popularity. Rejection-inversion sampling.
+  // generators for skewed key popularity. Rejection-inversion sampling,
+  // which needs skew > 1: at skew == 1 the inversion exponent -1/(skew-1)
+  // is infinite and the loop never accepts, and below 1 every draw
+  // truncates to rank 0, outside [1, n].
   std::uint64_t Zipf(std::uint64_t n, double skew) {
+    CIM_CHECK(skew > 1.0);
     if (n <= 1) return 1;
     // Simple inverse-CDF over precomputable harmonic weights would need
     // state per (n, skew); instead use the rejection method of Devroye.
@@ -169,6 +225,13 @@ class Rng {
   }
 
  private:
+  // Box-Muller's u1, drawn again until it clears the log's pole at 0.
+  double NextBoxMullerU1() {
+    double u1 = NextDouble();
+    while (u1 <= std::numeric_limits<double>::min()) u1 = NextDouble();
+    return u1;
+  }
+
   static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 
 #include "common/units.h"
 
@@ -41,6 +42,19 @@ struct AdcParams {
     const double clamped = std::clamp(current, 0.0, full_scale);
     return static_cast<std::uint64_t>(
         std::llround(clamped / full_scale * static_cast<double>(max_code)));
+  }
+  // The code Encode(x * attenuation, full_scale) takes for every x in
+  // [lo, hi], or nullopt when the interval straddles a code boundary — the
+  // certified bit-exact kernels' acceptance test. Sound because, for
+  // attenuation > 0, x -> Encode(x * attenuation, full_scale) is monotone
+  // non-decreasing: a correctly rounded multiply or divide by a positive
+  // constant, the clamp and llround each are, so equal codes at both ends
+  // pin the code of every x in between.
+  [[nodiscard]] std::optional<std::uint64_t> EncodeInterval(
+      double lo, double hi, double attenuation, double full_scale) const {
+    const std::uint64_t code = Encode(lo * attenuation, full_scale);
+    if (Encode(hi * attenuation, full_scale) != code) return std::nullopt;
+    return code;
   }
   [[nodiscard]] double Decode(std::uint64_t code, double full_scale) const {
     const std::uint64_t max_code = (std::uint64_t{1} << bits) - 1;

@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/contracts.h"
 
 namespace cim::crossbar {
+
+CertificationTally& ThreadCertificationTally() {
+  thread_local CertificationTally tally;
+  return tally;
+}
 
 Status CrossbarParams::Validate() const {
   if (rows == 0 || cols == 0) {
@@ -225,10 +231,9 @@ void Crossbar::ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
 void Crossbar::ForwardAccumulateFast(const DrivePattern& drive,
                                      std::size_t active_cols, Rng& rng,
                                      std::span<double> currents,
+                                     std::span<double> bounds,
                                      double& energy_pj) {
   const std::size_t cols = params_.cols;
-  const double sigma = params_.cell.read_noise_sigma;
-  const double ceiling = params_.cell.g_on_siemens * 1.5;
   // Per driven row: draw the sensed prefix's noise factors into a scratch
   // buffer — under the bit-exact policies in the same order the reference
   // kernel consumes the stream (row-major, every column of an active row,
@@ -239,31 +244,12 @@ void Crossbar::ForwardAccumulateFast(const DrivePattern& drive,
   // arithmetic, so the second loop auto-vectorizes; each column owns an
   // independent accumulator chain, so vectorizing across columns cannot
   // reorder any FP sum.
-  thread_local std::vector<double> factors;
-  if (sigma > 0.0 && factors.size() < active_cols) {
-    factors.resize(active_cols);
-  }
+  double* factors = FactorScratch(active_cols);
   for (std::size_t r = 0; r < params_.rows; ++r) {
     const double v = drive.voltages[r];
     if (v == 0.0) continue;
-    // __restrict: the mirror, the scratch buffer and the accumulator never
-    // alias, and saying so is what lets the dense loops below vectorize
-    // without runtime overlap checks.
-    const double* __restrict g_row = gain_.data() + r * cols;
-    double* __restrict cur = currents.data();
-    if (sigma > 0.0) {
-      double* __restrict f = factors.data();
-      noise_.FillFactors(rng, f, active_cols, cols);
-      for (std::size_t c = 0; c < active_cols; ++c) {
-        const double g = std::clamp(g_row[c] * f[c], 0.0, ceiling);
-        cur[c] += v * g;
-      }
-    } else {
-      for (std::size_t c = 0; c < active_cols; ++c) {
-        const double g = std::clamp(g_row[c], 0.0, ceiling);
-        cur[c] += v * g;
-      }
-    }
+    AccumulateLine(gain_.data() + r * cols, v, active_cols, cols, rng,
+                   factors, currents, bounds);
     energy_pj += row_read_energy_pj_[r];
     energy_pj += params_.dac.drive_energy.pj;
   }
@@ -290,36 +276,124 @@ void Crossbar::TransposeAccumulateReference(const DrivePattern& drive,
 void Crossbar::TransposeAccumulateFast(const DrivePattern& drive,
                                        std::size_t active_rows, Rng& rng,
                                        std::span<double> currents,
+                                       std::span<double> bounds,
                                        double& energy_pj) {
   const std::size_t rows = params_.rows;
-  const double sigma = params_.cell.read_noise_sigma;
-  const double ceiling = params_.cell.g_on_siemens * 1.5;
-  thread_local std::vector<double> factors;
-  if (sigma > 0.0 && factors.size() < active_rows) {
-    factors.resize(active_rows);
-  }
+  double* factors = FactorScratch(active_rows);
   for (std::size_t c = 0; c < params_.cols; ++c) {
     const double v = drive.voltages[c];
     if (v == 0.0) continue;
     // The transposed mirror keeps a column's conductances contiguous, so
     // the backward direction gets the same dense kernel as the forward one.
-    const double* __restrict g_col = gain_transposed_.data() + c * rows;
-    double* __restrict cur = currents.data();
-    if (sigma > 0.0) {
-      double* __restrict f = factors.data();
-      noise_.FillFactors(rng, f, active_rows, rows);
-      for (std::size_t r = 0; r < active_rows; ++r) {
-        const double g = std::clamp(g_col[r] * f[r], 0.0, ceiling);
-        cur[r] += v * g;
-      }
-    } else {
-      for (std::size_t r = 0; r < active_rows; ++r) {
-        const double g = std::clamp(g_col[r], 0.0, ceiling);
-        cur[r] += v * g;
-      }
-    }
+    AccumulateLine(gain_transposed_.data() + c * rows, v, active_rows, rows,
+                   rng, factors, currents, bounds);
     energy_pj += col_read_energy_pj_[c];
     energy_pj += params_.dac.drive_energy.pj;
+  }
+}
+
+double* Crossbar::FactorScratch(std::size_t sensed) const {
+  if (!noise_.enabled()) return nullptr;
+  thread_local std::vector<double> factors;
+  if (factors.size() < sensed) factors.resize(sensed);
+  return factors.data();
+}
+
+void Crossbar::AccumulateLine(const double* gains, double v,
+                              std::size_t sensed, std::size_t line_cells,
+                              Rng& rng, double* factors,
+                              std::span<double> currents,
+                              std::span<double> bounds) const {
+  const double ceiling = params_.cell.g_on_siemens * 1.5;
+  // __restrict: the mirror, the scratch buffer and the accumulators never
+  // alias, and saying so is what lets the dense loops below vectorize
+  // without runtime overlap checks.
+  const double* __restrict g = gains;
+  double* __restrict cur = currents.data();
+  if (!noise_.enabled()) {
+    for (std::size_t i = 0; i < sensed; ++i) {
+      cur[i] += v * std::clamp(g[i], 0.0, ceiling);
+    }
+    return;
+  }
+  double* __restrict f = factors;
+  if (bounds.empty()) {
+    noise_.FillFactors(rng, f, sensed, line_cells);
+    for (std::size_t i = 0; i < sensed; ++i) {
+      cur[i] += v * std::clamp(g[i] * f[i], 0.0, ceiling);
+    }
+    return;
+  }
+  // Certified path: approximate factors, plus each line's share of the
+  // error-bound basis sum |v * g * f~| (unclamped — an upper bound on the
+  // exact and the approximate term alike).
+  noise_.FillFactorsApprox(rng, f, sensed, line_cells);
+  double* __restrict b = bounds.data();
+  for (std::size_t i = 0; i < sensed; ++i) {
+    const double gf = g[i] * f[i];
+    cur[i] += v * std::clamp(gf, 0.0, ceiling);
+    b[i] += v * std::abs(gf);
+  }
+}
+
+void Crossbar::SenseFast(bool transpose, const DrivePattern& drive,
+                         std::size_t sensed, Rng& rng, double attenuation,
+                         double full_scale, std::span<double> currents,
+                         std::span<std::uint64_t> codes, double& energy_pj) {
+  const auto accumulate = [&](std::span<double> bounds) {
+    if (transpose) {
+      TransposeAccumulateFast(drive, sensed, rng, currents, bounds,
+                              energy_pj);
+    } else {
+      ForwardAccumulateFast(drive, sensed, rng, currents, bounds, energy_pj);
+    }
+  };
+  if (noise_.approximable()) {
+    // Certify every sensed code from the polynomial factors. Against the
+    // exact kernel, each term v * clamp(g * f) moves by at most
+    // (eps + 4u) * |v g f~| (eps = kApproxRelError, u = 2^-53: the factor
+    // error plus the two roundings on each side), and each n-term sum
+    // carries at most (n - 1) u * sum|term| of rounding, so the exact
+    // current lies within (eps + (2n + 2) u) * B of the approximate one,
+    // B = sum |v g f~| over the n driven lines. The radius doubles that:
+    // the slack absorbs the roundings of B, of the radius and of I -+ E.
+    CertificationTally& tally = ThreadCertificationTally();
+    ++tally.cycles;
+    const Rng snapshot = rng;
+    const double energy_before = energy_pj;
+    thread_local std::vector<double> bounds;
+    bounds.assign(sensed, 0.0);
+    accumulate(bounds);
+    const double radius_per_basis =
+        2.0 * (device::NoiseModel::kApproxRelError +
+               static_cast<double>(drive.active + 2) * 0x1p-53);
+    bool certified = true;
+    for (std::size_t i = 0; i < sensed && certified; ++i) {
+      const double radius = radius_per_basis * bounds[i];
+      const std::optional<std::uint64_t> code = params_.adc.EncodeInterval(
+          currents[i] - radius, currents[i] + radius, attenuation,
+          full_scale);
+      certified = code.has_value();
+      if (certified) codes[i] = *code;
+    }
+    if (certified) return;
+    // An ambiguous code: replay the whole cycle on the exact sampler from
+    // the snapshot, so the stream and every code match kReference.
+    ++tally.replays;
+    rng = snapshot;
+    std::fill(currents.begin(), currents.end(), 0.0);
+    energy_pj = energy_before;
+  }
+  accumulate({});
+  EncodeLines(currents, sensed, attenuation, full_scale, codes);
+}
+
+void Crossbar::EncodeLines(std::span<const double> currents,
+                           std::size_t sensed, double attenuation,
+                           double full_scale,
+                           std::span<std::uint64_t> codes) const {
+  for (std::size_t i = 0; i < sensed; ++i) {
+    codes[i] = params_.adc.Encode(currents[i] * attenuation, full_scale);
   }
 }
 
@@ -353,27 +427,27 @@ Expected<AnalogCycleResult> Crossbar::CycleDriven(const DrivePattern& drive,
   AnalogCycleResult result;
   result.column_codes.assign(params_.cols, 0);
 
-  // Accumulate noisy column currents. Every cell on an active row draws
-  // (conductance-proportional) read energy; only gated columns get sensed.
-  std::vector<double> currents(params_.cols, 0.0);
-  double energy_pj = 0.0;
-  if (params_.kernel == device::KernelPolicy::kReference) {
-    ForwardAccumulateReference(drive, rng, currents, energy_pj);
-  } else {
-    ForwardAccumulateFast(drive, active_cols, rng, currents, energy_pj);
-  }
-  result.cost.energy_pj = energy_pj;
+  // Accumulate noisy column currents and digitize the gated ones. Every
+  // cell on an active row draws (conductance-proportional) read energy.
   const std::size_t active_rows = drive.active;
-
   // First-order IR drop: attenuate with the fraction of simultaneously
   // active rows.
   const double attenuation =
       1.0 - params_.ir_drop_alpha * static_cast<double>(active_rows) /
                 static_cast<double>(params_.rows);
   const double full_scale = FullScaleCurrent();
+  std::vector<double> currents(params_.cols, 0.0);
+  double energy_pj = 0.0;
+  if (params_.kernel == device::KernelPolicy::kReference) {
+    ForwardAccumulateReference(drive, rng, currents, energy_pj);
+    EncodeLines(currents, active_cols, attenuation, full_scale,
+                result.column_codes);
+  } else {
+    SenseFast(/*transpose=*/false, drive, active_cols, rng, attenuation,
+              full_scale, currents, result.column_codes, energy_pj);
+  }
+  result.cost.energy_pj = energy_pj;
   for (std::size_t c = 0; c < active_cols; ++c) {
-    result.column_codes[c] =
-        params_.adc.Encode(currents[c] * attenuation, full_scale);
     result.cost.energy_pj += params_.adc.conversion_energy().pj;
   }
 
@@ -422,25 +496,25 @@ Expected<AnalogCycleResult> Crossbar::CycleTransposeDriven(
   AnalogCycleResult result;
   result.column_codes.assign(params_.rows, 0);  // row codes here
 
-  std::vector<double> currents(params_.rows, 0.0);
-  double energy_pj = 0.0;
-  if (params_.kernel == device::KernelPolicy::kReference) {
-    TransposeAccumulateReference(drive, rng, currents, energy_pj);
-  } else {
-    TransposeAccumulateFast(drive, active_rows, rng, currents, energy_pj);
-  }
-  result.cost.energy_pj = energy_pj;
   const std::size_t active_cols = drive.active;
-
   const double attenuation =
       1.0 - params_.ir_drop_alpha * static_cast<double>(active_cols) /
                 static_cast<double>(params_.cols);
   // Full scale along the transpose direction is set by the column count.
   const double full_scale = static_cast<double>(params_.cols) *
                             params_.dac.v_read * params_.cell.g_on_siemens;
+  std::vector<double> currents(params_.rows, 0.0);
+  double energy_pj = 0.0;
+  if (params_.kernel == device::KernelPolicy::kReference) {
+    TransposeAccumulateReference(drive, rng, currents, energy_pj);
+    EncodeLines(currents, active_rows, attenuation, full_scale,
+                result.column_codes);
+  } else {
+    SenseFast(/*transpose=*/true, drive, active_rows, rng, attenuation,
+              full_scale, currents, result.column_codes, energy_pj);
+  }
+  result.cost.energy_pj = energy_pj;
   for (std::size_t r = 0; r < active_rows; ++r) {
-    result.column_codes[r] =
-        params_.adc.Encode(currents[r] * attenuation, full_scale);
     result.cost.energy_pj += params_.adc.conversion_energy().pj;
   }
   const double serial_conversions =

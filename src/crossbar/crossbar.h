@@ -55,7 +55,12 @@ struct CrossbarParams {
   //                   row codes to kReference (the kernel differential test
   //                   enforces it; only cycle energy differs in the last
   //                   ulps, since read energy folds to one analytic add per
-  //                   driven line).
+  //                   driven line). Identical codes, not identical currents:
+  //                   for 0 < read_noise_sigma <= 1 a cycle runs on
+  //                   polynomial noise factors, accepts each code only when
+  //                   the current's whole error interval encodes to it, and
+  //                   replays on libm factors from an Rng snapshot when any
+  //                   code is ambiguous (see ThreadCertificationTally).
   //   kFastNoise    — SoA fast path with device::NoiseModel's shared noise
   //                   tile: statistically equivalent noise (KS + moment
   //                   gate, NN accuracy parity), not bit-identical. The
@@ -74,6 +79,17 @@ struct AnalogCycleResult {
   std::vector<std::uint64_t> column_codes;
   CostReport cost;
 };
+
+// Per-thread tally of the certified kFastBitExact cycles (noisy, sigma <= 1,
+// either direction): how many ran, and how many found an ambiguous code and
+// replayed on the exact sampler. Telemetry for benches and tests; kept per
+// thread so the hot path writes no shared state (concurrent cycles on one
+// crossbar stay race-free). Reset it by assigning {}.
+struct CertificationTally {
+  std::uint64_t cycles = 0;
+  std::uint64_t replays = 0;
+};
+[[nodiscard]] CertificationTally& ThreadCertificationTally();
 
 // Precomputed drive pattern for one analog cycle: per-line DAC voltages
 // plus the count of active (nonzero-voltage) lines. The MVM engine builds
@@ -204,24 +220,53 @@ class Crossbar {
   // The kernel twins behind CycleDriven/CycleTransposeDriven: walk the
   // driven lines, accumulate noisy currents into `currents` and read+drive
   // energy into `energy_pj`. The Fast variants serve both kFastBitExact and
-  // kFastNoise — noise_.FillFactors owns the sampling difference; identical
-  // column codes between kReference and kFastBitExact by construction (the
+  // kFastNoise — noise_ owns the sampling difference; identical column
+  // codes between kReference and kFastBitExact by construction (the
   // differential test, mvm_kernel_test, enforces it), statistical
   // equivalence for kFastNoise (noise_equivalence_test + bench gate). The
   // Fast variants touch only the sensed prefix (`active_cols` /
   // `active_rows`, already resolved from 0; see CrossbarParams::kernel).
+  // A non-empty `bounds` (one entry per sensed line, zeroed) selects the
+  // certified path's polynomial factors (NoiseModel::FillFactorsApprox) and
+  // accumulates each current's error-bound basis sum |v * g * f| into it;
+  // an empty one samples exactly.
   void ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
                                   std::span<double> currents,
                                   double& energy_pj);
   void ForwardAccumulateFast(const DrivePattern& drive,
                              std::size_t active_cols, Rng& rng,
-                             std::span<double> currents, double& energy_pj);
+                             std::span<double> currents,
+                             std::span<double> bounds, double& energy_pj);
   void TransposeAccumulateReference(const DrivePattern& drive, Rng& rng,
                                     std::span<double> currents,
                                     double& energy_pj);
   void TransposeAccumulateFast(const DrivePattern& drive,
                                std::size_t active_rows, Rng& rng,
-                               std::span<double> currents, double& energy_pj);
+                               std::span<double> currents,
+                               std::span<double> bounds, double& energy_pj);
+  // The calling thread's noise-factor buffer, grown to `sensed` entries;
+  // null on a quiet device, which draws no factors.
+  [[nodiscard]] double* FactorScratch(std::size_t sensed) const;
+  // One driven line of the Fast kernels: `gains` holds the line's
+  // `line_cells` mirrored conductances, of which the first `sensed` are
+  // read; the noise stream still advances over the whole line. `factors`
+  // is FactorScratch(sensed).
+  void AccumulateLine(const double* gains, double v, std::size_t sensed,
+                      std::size_t line_cells, Rng& rng, double* factors,
+                      std::span<double> currents,
+                      std::span<double> bounds) const;
+  // Run the Fast kernel of one direction and encode the `sensed` lines into
+  // `codes`. For an approximable noise model (NoiseModel::approximable)
+  // the cycle first runs on polynomial factors and certifies every code;
+  // on any ambiguous code it restores the Rng snapshot and replays on the
+  // exact sampler, so codes and stream always match kReference.
+  void SenseFast(bool transpose, const DrivePattern& drive,
+                 std::size_t sensed, Rng& rng, double attenuation,
+                 double full_scale, std::span<double> currents,
+                 std::span<std::uint64_t> codes, double& energy_pj);
+  void EncodeLines(std::span<const double> currents, std::size_t sensed,
+                   double attenuation, double full_scale,
+                   std::span<std::uint64_t> codes) const;
 
   CrossbarParams params_;
   // Sampling strategy for the fast kernels' read-noise factors, fixed at

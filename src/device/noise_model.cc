@@ -1,6 +1,7 @@
 #include "device/noise_model.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -53,9 +54,9 @@ constexpr double kLn2Hi = 6.93147180369123816490e-01;
 constexpr double kLn2Lo = 1.90821492927058770002e-10;
 constexpr double kLog2E = 1.44269504088896338700e+00;
 
-// The helpers below build the noise tile (one pass per sigma) and back
-// the detail:: test hooks; they are not on the per-cell serving path, which
-// is a plain tile copy.
+// The inverse-CDF helpers below build the noise tile (one pass per sigma);
+// kFastNoise serving is a plain tile copy. The branch-free kernels after
+// them are the certified bit-exact path's per-cell sampler.
 
 // Central-region rational polynomial; accurate for |q| <= 0.5 - kPLow
 // (the region InverseNormalCdfImpl routes here).
@@ -79,10 +80,33 @@ inline double TailInverseCdf(double u) {
   return upper ? -x : x;
 }
 
-// exp(x) for |x| <= 0.3466 (= ln2/2) without range reduction: degree-7
-// Taylor, relative error < 5e-9; FastExpImpl's range reduction feeds it.
+// ---- Branch-free transcendental kernels ----------------------------------
+//
+// The certified bit-exact path (FillFactorsApprox) evaluates the whole
+// Box-Muller -> exp pipeline with the polynomials below instead of libm. They
+// are written to vectorize on baseline x86-64 (SSE2): no libm calls
+// (std::floor is one there, so rounding uses the 0x1.8p52 trick), no
+// int64 -> double conversions (SSE2 has none; exponents are rebuilt through
+// the bit pattern of 2^52 + e instead), bit masks rather than branches,
+// and only unsigned shifts on std::bit_cast patterns. The series are
+// truncated where the first omitted term stays below ~1e-15 (exp, log:
+// relative; sin, cos: absolute), so a factor built from them stays within
+// ~1e-14 (relative) of the libm one at sigma = 1 — five orders of
+// magnitude inside NoiseModel::kApproxRelError.
+
+// Adding then subtracting 1.5 * 2^52 rounds a double with |x| < 2^51 to the
+// nearest integer (round-to-nearest mode); the sum's low mantissa bits hold
+// that integer in two's complement.
+constexpr double kRoundMagic = 0x1.8p52;
+
+// exp(r) for |r| <= ln2/2 (+ a few ulp): degree-11 Taylor; the first omitted
+// term is below 6.3e-15 relative.
 [[gnu::always_inline]] inline double ExpPoly(double r) {
-  double p = 1.0 / 5040.0;
+  double p = 1.0 / 39916800.0;
+  p = p * r + 1.0 / 3628800.0;
+  p = p * r + 1.0 / 362880.0;
+  p = p * r + 1.0 / 40320.0;
+  p = p * r + 1.0 / 5040.0;
   p = p * r + 1.0 / 720.0;
   p = p * r + 1.0 / 120.0;
   p = p * r + 1.0 / 24.0;
@@ -93,19 +117,118 @@ inline double TailInverseCdf(double u) {
   return p;
 }
 
+// exp(x) for |x| <= 16 (callers guarantee the domain; a clamp here would
+// split the loop body into branches the vectorizer cannot if-convert).
 [[gnu::always_inline]] inline double FastExpImpl(double x) {
-  // General-range exp: Cody-Waite reduction to |r| <= ln2/2, ExpPoly, then
-  // multiply by 2^k by adding k to the exponent field — p is in
-  // [exp(-ln2/2), exp(ln2/2)] ~ [0.707, 1.415] and the clamp bounds |k| by
-  // 24, so the result exponent stays far from overflow and subnormals.
-  x = std::clamp(x, -16.0, 16.0);
-  const double kd = std::floor(x * kLog2E + 0.5);
+  // Cody-Waite reduction x = k ln2 + r, |r| <= ln2/2, then multiply
+  // ExpPoly(r) by 2^k by adding k to the exponent field. The domain bounds
+  // |k| by 24 and ExpPoly(r) lies in [0.707, 1.415], so the result exponent
+  // stays far from overflow and subnormals. The rounded sum's low 12 bits
+  // are k mod 2^12; shifted to the exponent field they add k modulo 2^64,
+  // which is exactly the signed exponent change.
+  const double rounded = x * kLog2E + kRoundMagic;
+  const double kd = rounded - kRoundMagic;
   const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
-  const double p = ExpPoly(r);
-  const auto k = static_cast<std::int64_t>(kd);
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(p) +
-                             (static_cast<std::uint64_t>(k) << 52);
-  return std::bit_cast<double>(bits);
+  const std::uint64_t k_bits = std::bit_cast<std::uint64_t>(rounded) << 52;
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(ExpPoly(r)) +
+                               k_bits);
+}
+
+// ln x for a positive normal x. x = 2^k m with m in [sqrt(1/2), sqrt(2)),
+// so ln x = k ln2 + ln m never cancels; ln m = 2 atanh(s) with
+// s = (m - 1) / (m + 1), |s| <= 0.1716, summed as the atanh series through
+// s^17 (the first omitted term is below 9e-16 relative).
+[[gnu::always_inline]] inline double FastLogImpl(double x) {
+  // The split is pure unsigned integer work — no compare, no select, so
+  // nothing stops if-conversion and SSE2 has every op it needs. Subtracting
+  // sqrt(1/2)'s pattern moves the exponent boundary to sqrt(2); the 2^63
+  // bias keeps the exponent field k + 2048 non-negative for every normal x.
+  constexpr std::uint64_t kSqrtHalfBits = 0x3FE6A09E667F3BCDULL;
+  constexpr std::uint64_t kExponentField = ~((std::uint64_t{1} << 52) - 1);
+  constexpr std::uint64_t kBias = std::uint64_t{1} << 63;  // 2048 << 52
+  constexpr std::uint64_t kTwoPow52Bits = std::uint64_t{0x433} << 52;
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t shifted = bits - kSqrtHalfBits + kBias;
+  // m = x / 2^k: remove k from the exponent field (mod 2^64).
+  const double m =
+      std::bit_cast<double>(bits - (shifted & kExponentField) + kBias);
+  // k + 2048 sits in shifted's top 12 bits; OR-ed into 2^52's pattern it
+  // gives 2^52 + k + 2048 exactly, an int -> double conversion SSE2 lacks.
+  const double k = std::bit_cast<double>(kTwoPow52Bits | (shifted >> 52)) -
+                   (0x1p52 + 2048.0);
+  const double f = m - 1.0;  // exact: m in [1/2, 2] (Sterbenz)
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  double p = 1.0 / 17.0;
+  p = p * z + 1.0 / 15.0;
+  p = p * z + 1.0 / 13.0;
+  p = p * z + 1.0 / 11.0;
+  p = p * z + 1.0 / 9.0;
+  p = p * z + 1.0 / 7.0;
+  p = p * z + 1.0 / 5.0;
+  p = p * z + 1.0 / 3.0;
+  const double log_m = 2.0 * s + 2.0 * s * z * p;
+  return k * kLn2Hi + (k * kLn2Lo + log_m);
+}
+
+// sin and cos of x in [0, 2pi] (+ a few ulp): reduce to |t| <= pi/4 around
+// the nearest multiple q of pi/2 (Cody-Waite with a 33-bit head, so q * head
+// is exact and the head subtraction is exact by Sterbenz), evaluate Taylor
+// series through t^15 / t^14 (omitted terms below 4.6e-17 / 1.0e-15
+// absolute), then rotate by the quadrant q mod 4 with bit masks.
+[[gnu::always_inline]] inline void FastSinCosImpl(double x, double& sin_x,
+                                                  double& cos_x) {
+  constexpr double kTwoOverPi = 6.36619772367581382433e-01;
+  constexpr double kPiOver2Hi = 1.57079632673412561417e+00;
+  constexpr double kPiOver2Lo = 6.07710050650619224932e-11;
+  const double rounded = x * kTwoOverPi + kRoundMagic;
+  const double q = rounded - kRoundMagic;
+  const std::uint64_t quadrant = std::bit_cast<std::uint64_t>(rounded) & 3;
+  const double t = (x - q * kPiOver2Hi) - q * kPiOver2Lo;
+  const double t2 = t * t;
+  double sp = -1.0 / 1307674368000.0;
+  sp = sp * t2 + 1.0 / 6227020800.0;
+  sp = sp * t2 - 1.0 / 39916800.0;
+  sp = sp * t2 + 1.0 / 362880.0;
+  sp = sp * t2 - 1.0 / 5040.0;
+  sp = sp * t2 + 1.0 / 120.0;
+  sp = sp * t2 - 1.0 / 6.0;
+  const double sin_t = t + t * t2 * sp;
+  double cp = -1.0 / 87178291200.0;
+  cp = cp * t2 + 1.0 / 479001600.0;
+  cp = cp * t2 - 1.0 / 3628800.0;
+  cp = cp * t2 + 1.0 / 40320.0;
+  cp = cp * t2 - 1.0 / 720.0;
+  cp = cp * t2 + 1.0 / 24.0;
+  cp = cp * t2 - 0.5;
+  const double cos_t = 1.0 + t2 * cp;
+  // Quadrant q: (sin, cos) = (s, c), (c, -s), (-s, -c), (-c, s). The swap
+  // is a bit mask, not a select: SSE2 has no 64-bit integer compare to
+  // build one from, but 0 - (q & 1) is all ones exactly in odd quadrants.
+  const std::uint64_t swap = std::uint64_t{0} - (quadrant & 1);
+  const auto sin_bits = std::bit_cast<std::uint64_t>(sin_t);
+  const auto cos_bits = std::bit_cast<std::uint64_t>(cos_t);
+  // (quadrant & 2) << 62 is the sign bit exactly when the bit is set.
+  const std::uint64_t sin_sign = (quadrant & 2) << 62;
+  const std::uint64_t cos_sign = ((quadrant + 1) & 2) << 62;
+  sin_x = std::bit_cast<double>(
+      ((cos_bits & swap) | (sin_bits & ~swap)) ^ sin_sign);
+  cos_x = std::bit_cast<double>(
+      ((sin_bits & swap) | (cos_bits & ~swap)) ^ cos_sign);
+}
+
+// The two LogNormal(0, sigma) factors of one Box-Muller pair, evaluated
+// exactly as Rng::Gaussian + Rng::LogNormal compose them, but on the
+// polynomials: exp(sigma * r cos a), exp(sigma * r sin a).
+[[gnu::always_inline]] inline void ApproxFactorPairImpl(
+    double sigma, double u1, double u2, double& cos_factor,
+    double& sin_factor) {
+  const double radius = std::sqrt(-2.0 * FastLogImpl(u1));
+  double sin_a = 0.0;
+  double cos_a = 0.0;
+  FastSinCosImpl(Rng::BoxMullerAngle(u2), sin_a, cos_a);
+  cos_factor = FastExpImpl(sigma * (radius * cos_a));
+  sin_factor = FastExpImpl(sigma * (radius * sin_a));
 }
 
 [[gnu::always_inline]] inline double CounterUniformImpl(std::uint64_t stream,
@@ -131,7 +254,13 @@ namespace detail {
 // Out-of-line wrappers so tests can pin the building blocks; the sampling
 // loop uses the always-inline implementations above.
 
-double FastExp(double x) { return FastExpImpl(x); }
+double FastExp(double x) { return FastExpImpl(std::clamp(x, -16.0, 16.0)); }
+
+std::array<double, 2> ApproxFactorPair(double sigma, double u1, double u2) {
+  std::array<double, 2> factors{};
+  ApproxFactorPairImpl(sigma, u1, u2, factors[0], factors[1]);
+  return factors;
+}
 
 double InverseNormalCdf(double u) {
   CIM_DCHECK(u > 0.0 && u < 1.0);
@@ -203,6 +332,45 @@ void NoiseModel::FillFactors(Rng& rng, double* out, std::size_t n,
   // draw for draw; the unread tail only advances the stream.
   for (std::size_t i = 0; i < n; ++i) out[i] = rng.LogNormal(0.0, sigma_);
   rng.SkipGaussians(draws - n);
+}
+
+void NoiseModel::FillFactorsApprox(Rng& rng, double* out, std::size_t n,
+                                   std::size_t draws) const {
+  CIM_DCHECK(n <= draws && approximable());
+  // When the sensed prefix ends mid-pair and the line goes on, draw the
+  // pair's sin variate too: the skip below would drop the partner anyway,
+  // and taking it here spares the libm evaluation NextBoxMullerUniforms
+  // runs to leave an exact partner cached.
+  const std::size_t lead = rng.has_cached_gaussian() ? 1 : 0;
+  const std::size_t k = n > lead && (n - lead) % 2 == 1 && draws > n ? n + 1
+                                                                     : n;
+  thread_local std::vector<double> u1;
+  thread_local std::vector<double> u2;
+  if (u1.size() < (k + 1) / 2) {
+    u1.resize((k + 1) / 2);
+    u2.resize((k + 1) / 2);
+  }
+  const Rng::BoxMullerUniforms uniforms =
+      rng.NextBoxMullerUniforms(k, u1.data(), u2.data());
+  std::size_t i = 0;
+  if (uniforms.cached) {
+    out[i++] = std::exp(0.0 + sigma_ * uniforms.cached_value);
+  }
+  const double sigma = sigma_;
+  const std::size_t whole_pairs = (n - i) / 2;
+  double* __restrict pair_out = out + i;
+  const double* __restrict a = u1.data();
+  const double* __restrict b = u2.data();
+  for (std::size_t j = 0; j < whole_pairs; ++j) {
+    ApproxFactorPairImpl(sigma, a[j], b[j], pair_out[2 * j],
+                         pair_out[2 * j + 1]);
+  }
+  if (i + 2 * whole_pairs < n) {
+    double unused = 0.0;
+    ApproxFactorPairImpl(sigma, a[whole_pairs], b[whole_pairs], out[n - 1],
+                         unused);
+  }
+  rng.SkipGaussians(draws - k);
 }
 
 std::vector<double> NoiseModel::BuildTile(double sigma) {

@@ -6,11 +6,20 @@
 //
 //   KernelPolicy::kReference    per-cell AoS kernel; scalar libm sampling.
 //                               The golden model — defines the stream.
-//   KernelPolicy::kFastBitExact SoA two-pass kernel; scalar libm sampling
-//                               in the reference draw order, only for
-//                               the sensed lines (the rest of the stream
-//                               is skipped, not computed). Contract:
-//                               bit-identical outputs to kReference.
+//   KernelPolicy::kFastBitExact SoA two-pass kernel; bit-identical ADC
+//                               codes to kReference. For 0 < sigma <= 1
+//                               the factors come from branch-free
+//                               polynomials (FillFactorsApprox) within
+//                               kApproxRelError of libm, the crossbar
+//                               accepts a code only when its whole error
+//                               interval encodes to it, and a cycle with
+//                               an ambiguous code replays from an Rng
+//                               snapshot on the exact sampler: scalar libm
+//                               in the reference draw order, only for the
+//                               sensed lines (the rest of the stream is
+//                               skipped, not computed). Larger sigma runs
+//                               the exact sampler directly. Contract:
+//                               bit-identical codes to kReference.
 //   KernelPolicy::kFastNoise    SoA kernel; factors served from a
 //                               precomputed noise tile — an exact
 //                               LogNormal(0, sigma) quantile lattice,
@@ -24,11 +33,12 @@
 //                               individual draws differ from the
 //                               reference stream.
 //
-// NoiseModel owns both halves: FillFactors() is the sampler the fast
-// kernels call, and CheckEquivalence() is the gate the differential suite
-// and the bench use to enforce the kFastNoise contract.
+// NoiseModel owns both halves: FillFactors() / FillFactorsApprox() are the
+// samplers the fast kernels call, and CheckEquivalence() is the gate the
+// differential suite and the bench use to enforce the kFastNoise contract.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -53,6 +63,16 @@ class NoiseModel {
   // (512 KiB) keeps the lattice's own KS distance (~1/2^17) four orders of
   // magnitude under the gate threshold while the tile stays L2-resident.
   static constexpr std::size_t kTileSize = std::size_t{1} << 16;
+  // Documented bound on |approx / exact - 1| for every factor
+  // FillFactorsApprox returns, against the one FillFactors returns from the
+  // same stream position. The polynomials reach ~1e-14 at sigma = 1 (the
+  // differential suite sweeps 10^6 draws and the edge inputs at 1e-11);
+  // the bound keeps five orders of magnitude of margin on top.
+  static constexpr double kApproxRelError = 1e-9;
+  // Largest sigma the approximate fill accepts: it bounds the exp argument
+  // (|sigma * z| <= 8.6, since Box-Muller's |z| <= sqrt(-2 ln 2^-53)) and
+  // so the error growth through exp.
+  static constexpr double kApproxMaxSigma = 1.0;
 
   NoiseModel() = default;
   // A kFastNoise model with sigma > 0 takes the process-wide tile for its
@@ -67,6 +87,14 @@ class NoiseModel {
   // distributional only.
   [[nodiscard]] bool bit_exact() const {
     return policy_ != KernelPolicy::kFastNoise;
+  }
+
+  // True when FillFactorsApprox may serve this model: the kFastBitExact
+  // policy with 0 < sigma <= kApproxMaxSigma — a property of the device,
+  // not a knob.
+  [[nodiscard]] bool approximable() const {
+    return policy_ == KernelPolicy::kFastBitExact && sigma_ > 0.0 &&
+           sigma_ <= kApproxMaxSigma;
   }
 
   // Fill out[0..n) with multiplicative read-noise factors, advancing `rng`
@@ -92,6 +120,17 @@ class NoiseModel {
   void FillFactors(Rng& rng, double* out, std::size_t n) const {
     FillFactors(rng, out, n, n);
   }
+
+  // The certified bit-exact path's fill (approximable() models only):
+  // advances `rng` exactly as FillFactors(rng, out, n, draws) does, but
+  // evaluates the Box-Muller -> exp pipeline on branch-free, vectorizable
+  // polynomials (log, sin+cos, exp) instead of libm, so each factor lies
+  // within kApproxRelError (relative) of the one FillFactors returns. A
+  // pending cached partner is served exactly; when the prefix ends
+  // mid-pair at the end of the line, the partner left cached for the next
+  // line is libm-exact (Rng::NextBoxMullerUniforms).
+  void FillFactorsApprox(Rng& rng, double* out, std::size_t n,
+                         std::size_t draws) const;
 
   // ---- The statistical-equivalence contract -------------------------------
 
@@ -134,10 +173,17 @@ class NoiseModel {
 
 namespace detail {
 // Branch-free polynomial exp: Cody-Waite range reduction to
-// [-ln2/2, ln2/2], degree-7 Taylor, exponent reassembly via bit twiddling.
-// Relative error < 6e-9 over |x| <= 16; input is clamped to that domain
-// (the sampler only ever needs |x| <= sigma * 9).
+// [-ln2/2, ln2/2], degree-11 Taylor, exponent reassembly via bit twiddling.
+// Relative error below 1e-14 over |x| <= 16; input is clamped to that
+// domain. The certified bit-exact sampler's exp.
 [[nodiscard]] double FastExp(double x);
+
+// The two LogNormal(0, sigma) factors of the Box-Muller pair (u1, u2) — cos
+// variate first — on the certified sampler's polynomials: FastExp of sigma
+// times sqrt(-2 ln u1) * {cos, sin}(2 pi u2). Exposed so tests can sweep
+// edge inputs against libm.
+[[nodiscard]] std::array<double, 2> ApproxFactorPair(double sigma, double u1,
+                                                     double u2);
 
 // Acklam's rational approximation of the inverse standard-normal CDF,
 // u in (0, 1); relative error ~1.15e-9. The central region

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/contracts.h"
 #include "common/event_queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -135,6 +136,54 @@ TEST(RngTest, SkipGaussiansMatchesDrawingThem) {
   }
 }
 
+TEST(RngTest, BoxMullerUniformsMatchDrawingThem) {
+  // The certified crossbar kernels evaluate the Box-Muller transform
+  // themselves from NextBoxMullerUniforms; fed through the libm transform,
+  // its output must be exactly the k Gaussian() values, and the stream must
+  // end where those calls leave it — with or without a cached partner going
+  // in, and whether or not k leaves one cached coming out.
+  for (const bool cached : {false, true}) {
+    for (std::size_t k = 0; k <= 9; ++k) {
+      Rng drawn(31 + k);
+      Rng handed(31 + k);
+      if (cached) {
+        drawn.Gaussian();
+        handed.Gaussian();
+      }
+      std::vector<double> expected(k);
+      for (double& z : expected) z = drawn.Gaussian();
+
+      std::vector<double> u1((k + 1) / 2);
+      std::vector<double> u2((k + 1) / 2);
+      const Rng::BoxMullerUniforms draws =
+          handed.NextBoxMullerUniforms(k, u1.data(), u2.data());
+      EXPECT_EQ(draws.cached, cached && k > 0) << "k=" << k;
+      std::vector<double> rebuilt;
+      if (draws.cached) rebuilt.push_back(draws.cached_value);
+      for (std::size_t j = 0; j < draws.pairs; ++j) {
+        const double radius = Rng::BoxMullerRadius(u1[j]);
+        const double angle = Rng::BoxMullerAngle(u2[j]);
+        rebuilt.push_back(radius * std::cos(angle));
+        rebuilt.push_back(radius * std::sin(angle));
+      }
+      ASSERT_GE(rebuilt.size(), k) << "cached=" << cached << " k=" << k;
+      rebuilt.resize(k);
+      EXPECT_EQ(rebuilt, expected) << "cached=" << cached << " k=" << k;
+
+      EXPECT_EQ(drawn.has_cached_gaussian(), handed.has_cached_gaussian())
+          << "cached=" << cached << " k=" << k;
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(drawn.Gaussian(), handed.Gaussian())
+            << "cached=" << cached << " k=" << k << " i=" << i;
+      }
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(drawn.NextU64(), handed.NextU64())
+            << "cached=" << cached << " k=" << k << " i=" << i;
+      }
+    }
+  }
+}
+
 TEST(RngTest, ExponentialMean) {
   Rng rng(17);
   RunningStat stat;
@@ -153,6 +202,29 @@ TEST(RngTest, ZipfStaysInRangeAndSkews) {
   }
   // Rank 1 must dominate a uniform draw (which would give ~100 hits).
   EXPECT_GT(ones, 1000u);
+}
+
+// Turns a failed contract into an exception so a test can observe it
+// without dying.
+struct ContractViolationError {};
+void ThrowOnViolation(const ContractViolation& /*violation*/) {
+  throw ContractViolationError{};
+}
+
+TEST(RngTest, ZipfRequiresSkewAboveOne) {
+  // Rejection-inversion needs skew > 1: at 1 the loop never accepts, and
+  // below 1 every draw came back as rank 0, outside [1, n].
+  const ContractFailureHandler previous =
+      SetContractFailureHandler(&ThrowOnViolation);
+  Rng rng(23);
+  EXPECT_THROW((void)rng.Zipf(100, 1.0), ContractViolationError);
+  EXPECT_THROW((void)rng.Zipf(100, 0.8), ContractViolationError);
+  (void)SetContractFailureHandler(previous);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t r = rng.Zipf(100, 1.01);
+    EXPECT_GE(r, 1u);
+    EXPECT_LE(r, 100u);
+  }
 }
 
 TEST(UnitsTest, TimeArithmeticAndConversions) {

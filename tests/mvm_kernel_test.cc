@@ -301,6 +301,157 @@ TEST(KernelDifferentialTest, GatedCyclesKeepTheStreamAligned) {
   EXPECT_EQ(f->column_codes, r->column_codes);
 }
 
+// -- Certified codes and the replay path -------------------------------------
+
+TEST(CertifiedCodeTest, IntervalAtAMidpointIsAmbiguous) {
+  // The acceptance test on its own: an interval straddling a rounding
+  // midpoint of the ADC is ambiguous; one around a code centre certifies.
+  AdcParams adc;
+  adc.bits = 4;  // 15 steps of full scale
+  const double full_scale = 1.0;
+  const double midpoint = 2.5 / 15.0;  // halfway between codes 2 and 3
+  const double centre = 2.0 / 15.0;
+  const double radius = 1e-12;
+  EXPECT_FALSE(adc.EncodeInterval(midpoint - radius, midpoint + radius, 1.0,
+                                  full_scale)
+                   .has_value());
+  const auto code = adc.EncodeInterval(centre - radius, centre + radius, 1.0,
+                                       full_scale);
+  ASSERT_TRUE(code.has_value());
+  EXPECT_EQ(*code, 2u);
+  // Attenuation scales the interval before encoding: the centre of code 2
+  // at half attenuation is the current that encodes to code 1's centre.
+  const auto attenuated = adc.EncodeInterval(
+      2.0 * (1.0 / 15.0) - radius, 2.0 * (1.0 / 15.0) + radius, 0.5,
+      full_scale);
+  ASSERT_TRUE(attenuated.has_value());
+  EXPECT_EQ(*attenuated, 1u);
+  // A degenerate interval is the plain encoder.
+  EXPECT_EQ(adc.EncodeInterval(midpoint, midpoint, 1.0, full_scale),
+            adc.Encode(midpoint, full_scale));
+}
+
+TEST(KernelDifferentialTest, AmbiguousCodesReplayAndMatchReference) {
+  // Force the replay arm: every cell stuck on (so each line conducts g_on
+  // exactly), IR drop off (attenuation exactly 1), a 4-bit ADC and 30 x 30
+  // arrays driven on one line — each sensed current is 1/30 of full scale,
+  // i.e. exactly halfway between codes 0 and 1 (0.5 of a 15-step code).
+  // Read noise at sigma = 1e-12 moves the current ~1e-12 off the midpoint,
+  // far inside the certification radius, so no code can be certified and
+  // the cycle must replay on the exact sampler — and still agree with
+  // kReference code for code and leave the stream where it leaves it.
+  auto make = [](device::KernelPolicy kernel) {
+    CrossbarParams p;
+    p.rows = 30;
+    p.cols = 30;
+    p.kernel = kernel;
+    p.cell.read_noise_sigma = 1e-12;
+    p.ir_drop_alpha = 0.0;
+    p.adc.bits = 4;
+    auto xbar = Crossbar::Create(p, Rng(kSeed));
+    EXPECT_TRUE(xbar.ok());
+    for (std::size_t r = 0; r < p.rows; ++r) {
+      for (std::size_t c = 0; c < p.cols; ++c) {
+        xbar->InjectCellFault(r, c, device::CellFault::kStuckOn);
+      }
+    }
+    return std::move(xbar.value());
+  };
+  Crossbar fast = make(device::KernelPolicy::kFastBitExact);
+  Crossbar reference = make(device::KernelPolicy::kReference);
+
+  std::vector<std::uint64_t> one_line(30, 0);
+  one_line[17] = 1;
+  ThreadCertificationTally() = {};
+  for (std::uint64_t trial = 0; trial < 4; ++trial) {
+    Rng fast_rng(DeriveSeed(kSeed + 30, trial));
+    Rng ref_rng(DeriveSeed(kSeed + 30, trial));
+    auto f = fast.Cycle(one_line, 0, &fast_rng);
+    auto r = reference.Cycle(one_line, 0, &ref_rng);
+    ASSERT_TRUE(f.ok() && r.ok());
+    EXPECT_EQ(f->column_codes, r->column_codes) << "forward trial " << trial;
+    EXPECT_EQ(fast_rng.NextU64(), ref_rng.NextU64())
+        << "forward trial " << trial;
+    // Odd sensed widths leave a cached partner mid-line; the replay must
+    // reproduce that too.
+    f = fast.CycleTranspose(one_line, 29, &fast_rng);
+    r = reference.CycleTranspose(one_line, 29, &ref_rng);
+    ASSERT_TRUE(f.ok() && r.ok());
+    EXPECT_EQ(f->column_codes, r->column_codes)
+        << "transpose trial " << trial;
+    EXPECT_EQ(fast_rng.NextU64(), ref_rng.NextU64())
+        << "transpose trial " << trial;
+  }
+  const CertificationTally tally = ThreadCertificationTally();
+  EXPECT_EQ(tally.cycles, 8u);
+  EXPECT_EQ(tally.replays, 8u);
+}
+
+TEST(KernelDifferentialTest, CertifiedPathRunsOnlyForBitExactSmallSigma) {
+  // The certified path is chosen by the device, not a knob: kFastBitExact
+  // with 0 < sigma <= 1. Larger sigma, quiet devices and the other policies
+  // never touch it; at the serving sigma codes certify without replay.
+  auto cycles_for = [](device::KernelPolicy kernel, double sigma) {
+    CrossbarParams p = NoisyArrayParams(kernel);
+    p.cell.read_noise_sigma = sigma;
+    auto xbar = Crossbar::Create(p, Rng(kSeed));
+    EXPECT_TRUE(xbar.ok());
+    Rng lrng(kSeed + 31);
+    EXPECT_TRUE(xbar->ProgramLevels(RandomLevels(p, lrng)).ok());
+    ThreadCertificationTally() = {};
+    const std::vector<std::uint64_t> all_rows(p.rows, 1);
+    for (int i = 0; i < 4; ++i) EXPECT_TRUE(xbar->Cycle(all_rows).ok());
+    return ThreadCertificationTally();
+  };
+  const CertificationTally serving =
+      cycles_for(device::KernelPolicy::kFastBitExact, 0.02);
+  EXPECT_EQ(serving.cycles, 4u);
+  EXPECT_EQ(serving.replays, 0u);
+  EXPECT_EQ(cycles_for(device::KernelPolicy::kFastBitExact, 1.0).cycles, 4u);
+  EXPECT_EQ(cycles_for(device::KernelPolicy::kFastBitExact, 1.5).cycles, 0u);
+  EXPECT_EQ(cycles_for(device::KernelPolicy::kFastBitExact, 0.0).cycles, 0u);
+  EXPECT_EQ(cycles_for(device::KernelPolicy::kReference, 0.02).cycles, 0u);
+  EXPECT_EQ(cycles_for(device::KernelPolicy::kFastNoise, 0.02).cycles, 0u);
+}
+
+TEST(KernelDifferentialTest, LargeSigmaCodesStayBitIdentical) {
+  // Both sides of the sigma = 1 gate — the largest certified sigma and one
+  // past it on the exact sampler — keep the codes identical to kReference.
+  for (const double sigma : {1.0, 1.5}) {
+    auto make = [sigma](device::KernelPolicy kernel) {
+      CrossbarParams p = NoisyArrayParams(kernel);
+      p.cell.read_noise_sigma = sigma;
+      p.adc.bits = 12;
+      return Crossbar::Create(p, Rng(kSeed));
+    };
+    auto fast = make(device::KernelPolicy::kFastBitExact);
+    auto reference = make(device::KernelPolicy::kReference);
+    ASSERT_TRUE(fast.ok() && reference.ok());
+    Rng lrng(kSeed + 32);
+    const auto levels = RandomLevels(fast->params(), lrng);
+    ASSERT_TRUE(fast->ProgramLevels(levels).ok());
+    ASSERT_TRUE(reference->ProgramLevels(levels).ok());
+    Rng fast_rng(DeriveSeed(kSeed, 33));
+    Rng ref_rng(DeriveSeed(kSeed, 33));
+    Rng drive_rng(kSeed + 34);
+    for (int round = 0; round < 8; ++round) {
+      std::vector<std::uint64_t> row_codes(fast->rows());
+      for (auto& code : row_codes) code = drive_rng.Bernoulli(0.5) ? 1 : 0;
+      auto f = fast->Cycle(row_codes, 0, &fast_rng);
+      auto r = reference->Cycle(row_codes, 0, &ref_rng);
+      ASSERT_TRUE(f.ok() && r.ok());
+      EXPECT_EQ(f->column_codes, r->column_codes) << "sigma=" << sigma;
+      std::vector<std::uint64_t> col_codes(fast->cols());
+      for (auto& code : col_codes) code = drive_rng.Bernoulli(0.5) ? 1 : 0;
+      f = fast->CycleTranspose(col_codes, 0, &fast_rng);
+      r = reference->CycleTranspose(col_codes, 0, &ref_rng);
+      ASSERT_TRUE(f.ok() && r.ok());
+      EXPECT_EQ(f->column_codes, r->column_codes) << "sigma=" << sigma;
+    }
+    EXPECT_EQ(fast_rng.NextU64(), ref_rng.NextU64()) << "sigma=" << sigma;
+  }
+}
+
 // -- Conductance-mirror invalidation matrix ---------------------------------
 
 CrossbarParams MirrorParams() {

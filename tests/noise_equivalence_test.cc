@@ -14,8 +14,14 @@
 // Plus pinned accuracy checks for the detail:: building blocks the noise
 // tile is constructed from, and checks that the one shared tile per sigma
 // is keyed correctly, keeps its pinned bits, and is race-free to construct.
+// The kFastBitExact certified path's polynomial factors get their own
+// checks: within kApproxRelError / 100 of libm over 10^6 stream draws and
+// at the Box-Muller edge inputs, with the stream advanced exactly as the
+// libm fill advances it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -117,6 +123,82 @@ TEST(NoiseEquivalence, BitExactPoliciesReproduceReferenceStream) {
   EXPECT_TRUE(reference.bit_exact());
   EXPECT_TRUE(fast.bit_exact());
   EXPECT_FALSE(NoiseModel(kSigma, KernelPolicy::kFastNoise).bit_exact());
+}
+
+// The largest |approx / exact - 1| over factors filled line by line from
+// twin streams, FillFactorsApprox against FillFactors, plus a check that
+// both fills leave the stream at the same place after every line.
+double MaxApproxRelError(double sigma, std::uint64_t seed, std::size_t lines,
+                         std::size_t sensed, std::size_t line) {
+  const NoiseModel model(sigma, KernelPolicy::kFastBitExact);
+  Rng exact_rng(seed);
+  Rng approx_rng(seed);
+  std::vector<double> exact(sensed);
+  std::vector<double> approx(sensed);
+  double worst = 0.0;
+  for (std::size_t l = 0; l < lines; ++l) {
+    model.FillFactors(exact_rng, exact.data(), sensed, line);
+    model.FillFactorsApprox(approx_rng, approx.data(), sensed, line);
+    EXPECT_EQ(exact_rng.has_cached_gaussian(),
+              approx_rng.has_cached_gaussian());
+    for (std::size_t i = 0; i < sensed; ++i) {
+      worst = std::max(worst, std::abs(approx[i] / exact[i] - 1.0));
+    }
+  }
+  EXPECT_EQ(exact_rng.NextU64(), approx_rng.NextU64());
+  EXPECT_EQ(exact_rng.Gaussian(), approx_rng.Gaussian());
+  return worst;
+}
+
+TEST(NoiseEquivalence, ApproxFactorsTrackLibmWithinBound) {
+  // The certified bit-exact path is only as sound as kApproxRelError: over
+  // 10^6 stream draws at the serving sigma and at the largest sigma the
+  // approximate fill accepts, every polynomial factor must sit within 1% of
+  // the bound. Odd sensed prefixes of even lines, odd lines and full lines
+  // cover the cached-partner hand-offs between lines.
+  constexpr double kLimit = NoiseModel::kApproxRelError / 100.0;
+  for (const double sigma : {kSigma, NoiseModel::kApproxMaxSigma}) {
+    // 7813 lines of 128: just over 10^6 factors.
+    EXPECT_LE(MaxApproxRelError(sigma, 0xA991, 7813, 128, 128), kLimit)
+        << "sigma=" << sigma;
+    EXPECT_LE(MaxApproxRelError(sigma, 0xA992, 4000, 11, 128), kLimit)
+        << "sigma=" << sigma;
+    EXPECT_LE(MaxApproxRelError(sigma, 0xA993, 4000, 23, 23), kLimit)
+        << "sigma=" << sigma;
+    EXPECT_LE(MaxApproxRelError(sigma, 0xA994, 100, 0, 7), 0.0)
+        << "sigma=" << sigma;
+  }
+}
+
+TEST(NoiseEquivalence, ApproxFactorPairHoldsAtEdgeInputs) {
+  // Edges of the Box-Muller domain at sigma = 1: the smallest u1 a 53-bit
+  // draw can take (largest radius, |z| ~ 8.6), u1 just below 1 (radius
+  // ~1.5e-8), and u2 on and one ulp either side of every quadrant boundary
+  // of the angle, where the sin/cos reduction switches quadrant.
+  constexpr double kLimit = NoiseModel::kApproxRelError / 100.0;
+  const double sigma = NoiseModel::kApproxMaxSigma;
+  const std::vector<double> u1s = {0x1p-53, 0x1p-52, 0.5, std::sqrt(0.5),
+                                   1.0 - 0x1p-53};
+  std::vector<double> u2s = {0.0, 0x1p-53, 1.0 - 0x1p-53};
+  for (const double boundary : {0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875}) {
+    u2s.push_back(std::nextafter(boundary, 0.0));
+    u2s.push_back(boundary);
+    u2s.push_back(std::nextafter(boundary, 1.0));
+  }
+  for (const double u1 : u1s) {
+    for (const double u2 : u2s) {
+      const double radius = Rng::BoxMullerRadius(u1);
+      const double angle = Rng::BoxMullerAngle(u2);
+      const std::array<double, 2> approx =
+          device::detail::ApproxFactorPair(sigma, u1, u2);
+      const double exact_cos = std::exp(sigma * (radius * std::cos(angle)));
+      const double exact_sin = std::exp(sigma * (radius * std::sin(angle)));
+      EXPECT_LE(std::abs(approx[0] / exact_cos - 1.0), kLimit)
+          << "u1=" << u1 << " u2=" << u2;
+      EXPECT_LE(std::abs(approx[1] / exact_sin - 1.0), kLimit)
+          << "u1=" << u1 << " u2=" << u2;
+    }
+  }
 }
 
 TEST(NoiseEquivalence, TileWraparoundAndDeterminism) {
@@ -307,10 +389,10 @@ TEST(NoiseEquivalence, DetailBuildingBlocksArePinned) {
   EXPECT_NEAR(device::detail::InverseNormalCdf(0.975), 1.959964, 1e-6);
   EXPECT_NEAR(device::detail::InverseNormalCdf(0.025), -1.959964, 1e-6);
   EXPECT_NEAR(device::detail::InverseNormalCdf(0.001), -3.090232, 1e-5);
-  // FastExp against libm over the range the tile builder exercises.
-  for (double x = -4.0; x <= 4.0; x += 0.37) {
+  // FastExp against libm over its documented domain and bound.
+  for (double x = -16.0; x <= 16.0; x += 0.37) {
     EXPECT_NEAR(device::detail::FastExp(x), std::exp(x),
-                6e-9 * std::exp(x));
+                1e-14 * std::exp(x));
   }
   // CounterUniform: deterministic, in (0, 1), and stream-separated.
   const double u = device::detail::CounterUniform(7, 9);
