@@ -7,7 +7,8 @@
 #   scripts/check.sh                 # relwithdebinfo (the tier-1 gate)
 #   scripts/check.sh asan-ubsan      # sanitizer matrix leg
 #   scripts/check.sh all             # every CI leg in sequence
-#   scripts/check.sh --lint-only     # cimlint diff-baseline gate, nothing else
+#   scripts/check.sh --lint-only     # cimlint diff-baseline gate + docs links,
+#                                    # then a report-only src/ line count
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -213,6 +214,8 @@ target="${1:-relwithdebinfo}"
 case "$target" in
   --lint-only)
     run_lint relwithdebinfo
+    echo "==> src/ line count (report only)"
+    scripts/src_lines.sh
     echo "==> lint gate passed"
     exit 0
     ;;

@@ -190,8 +190,8 @@ Expected<CostReport> Crossbar::ProgramCell(std::size_t row, std::size_t col,
   return cost;
 }
 
-double Crossbar::FullScaleCurrent() const {
-  return static_cast<double>(params_.rows) * params_.dac.v_read *
+double Crossbar::FullScaleCurrent(Direction dir) const {
+  return static_cast<double>(DrivenLines(dir)) * params_.dac.v_read *
          params_.cell.g_on_siemens;
 }
 
@@ -211,83 +211,52 @@ std::vector<double> Crossbar::IdealColumnCurrents(
   return currents;
 }
 
-void Crossbar::ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
-                                          std::span<double> currents,
-                                          double& energy_pj) {
-  const std::size_t cols = params_.cols;
-  for (std::size_t r = 0; r < params_.rows; ++r) {
-    const double v = drive.voltages[r];
+void Crossbar::AccumulateReference(Direction dir, const DrivePattern& drive,
+                                   Rng& rng, std::span<double> currents,
+                                   double& energy_pj) {
+  const bool forward = dir == Direction::kForward;
+  const std::size_t line_stride = forward ? params_.cols : 1;
+  const std::size_t cell_stride = forward ? 1 : params_.cols;
+  const std::size_t line_cells = SensedLines(dir);
+  for (std::size_t i = 0; i < drive.voltages.size(); ++i) {
+    const double v = drive.voltages[i];
     if (v == 0.0) continue;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const device::ReadResult rr = cells_[r * cols + c].Read(params_.cell,
-                                                              rng);
-      currents[c] += v * rr.conductance_siemens;
+    for (std::size_t j = 0; j < line_cells; ++j) {
+      const device::ReadResult rr =
+          cells_[i * line_stride + j * cell_stride].Read(params_.cell, rng);
+      currents[j] += v * rr.conductance_siemens;
       energy_pj += rr.energy.pj;
     }
     energy_pj += params_.dac.drive_energy.pj;
   }
 }
 
-void Crossbar::ForwardAccumulateFast(const DrivePattern& drive,
-                                     std::size_t active_cols, Rng& rng,
-                                     std::span<double> currents,
-                                     std::span<double> bounds,
-                                     double& energy_pj) {
-  const std::size_t cols = params_.cols;
-  // Per driven row: draw the sensed prefix's noise factors into a scratch
+void Crossbar::AccumulateFast(Direction dir, const DrivePattern& drive,
+                              std::size_t sensed, Rng& rng,
+                              std::span<double> currents,
+                              std::span<double> bounds, double& energy_pj) {
+  const bool forward = dir == Direction::kForward;
+  const double* plane = forward ? gain_.data() : gain_transposed_.data();
+  const double* line_energy_pj =
+      forward ? row_read_energy_pj_.data() : col_read_energy_pj_.data();
+  const std::size_t line_cells = SensedLines(dir);
+  // Per driven line: draw the sensed prefix's noise factors into a scratch
   // buffer — under the bit-exact policies in the same order the reference
-  // kernel consumes the stream (row-major, every column of an active row,
+  // walk consumes the stream (line by line, every cell of an active line,
   // the unsensed tail skipped rather than computed), under kFastNoise from
-  // the NoiseModel's tile — then run a dense accumulate over the contiguous
-  // conductance mirror. Only the first `active_cols` currents are computed:
+  // the NoiseModel's tile — then run a dense accumulate over the line's
+  // contiguous conductances. Only the first `sensed` currents are computed:
   // no ADC reads the rest. The two loops split the sampling from the
-  // arithmetic, so the second loop auto-vectorizes; each column owns an
-  // independent accumulator chain, so vectorizing across columns cannot
-  // reorder any FP sum.
-  double* factors = FactorScratch(active_cols);
-  for (std::size_t r = 0; r < params_.rows; ++r) {
-    const double v = drive.voltages[r];
+  // arithmetic, so the second loop auto-vectorizes; each sensed line owns
+  // an independent accumulator chain, so vectorizing cannot reorder any FP
+  // sum.
+  double* factors = FactorScratch(sensed);
+  for (std::size_t i = 0; i < drive.voltages.size(); ++i) {
+    const double v = drive.voltages[i];
     if (v == 0.0) continue;
-    AccumulateLine(gain_.data() + r * cols, v, active_cols, cols, rng,
+    AccumulateLine(plane + i * line_cells, v, sensed, line_cells, rng,
                    factors, currents, bounds);
-    energy_pj += row_read_energy_pj_[r];
-    energy_pj += params_.dac.drive_energy.pj;
-  }
-}
-
-void Crossbar::TransposeAccumulateReference(const DrivePattern& drive,
-                                            Rng& rng,
-                                            std::span<double> currents,
-                                            double& energy_pj) {
-  const std::size_t cols = params_.cols;
-  for (std::size_t c = 0; c < cols; ++c) {
-    const double v = drive.voltages[c];
-    if (v == 0.0) continue;
-    for (std::size_t r = 0; r < params_.rows; ++r) {
-      const device::ReadResult rr = cells_[r * cols + c].Read(params_.cell,
-                                                              rng);
-      currents[r] += v * rr.conductance_siemens;
-      energy_pj += rr.energy.pj;
-    }
-    energy_pj += params_.dac.drive_energy.pj;
-  }
-}
-
-void Crossbar::TransposeAccumulateFast(const DrivePattern& drive,
-                                       std::size_t active_rows, Rng& rng,
-                                       std::span<double> currents,
-                                       std::span<double> bounds,
-                                       double& energy_pj) {
-  const std::size_t rows = params_.rows;
-  double* factors = FactorScratch(active_rows);
-  for (std::size_t c = 0; c < params_.cols; ++c) {
-    const double v = drive.voltages[c];
-    if (v == 0.0) continue;
-    // The transposed mirror keeps a column's conductances contiguous, so
-    // the backward direction gets the same dense kernel as the forward one.
-    AccumulateLine(gain_transposed_.data() + c * rows, v, active_rows, rows,
-                   rng, factors, currents, bounds);
-    energy_pj += col_read_energy_pj_[c];
+    energy_pj += line_energy_pj[i];
     energy_pj += params_.dac.drive_energy.pj;
   }
 }
@@ -336,18 +305,10 @@ void Crossbar::AccumulateLine(const double* gains, double v,
   }
 }
 
-void Crossbar::SenseFast(bool transpose, const DrivePattern& drive,
+void Crossbar::SenseFast(Direction dir, const DrivePattern& drive,
                          std::size_t sensed, Rng& rng, double attenuation,
                          double full_scale, std::span<double> currents,
                          std::span<std::uint64_t> codes, double& energy_pj) {
-  const auto accumulate = [&](std::span<double> bounds) {
-    if (transpose) {
-      TransposeAccumulateFast(drive, sensed, rng, currents, bounds,
-                              energy_pj);
-    } else {
-      ForwardAccumulateFast(drive, sensed, rng, currents, bounds, energy_pj);
-    }
-  };
   if (noise_.approximable()) {
     // Certify every sensed code from the polynomial factors. Against the
     // exact kernel, each term v * clamp(g * f) moves by at most
@@ -363,7 +324,7 @@ void Crossbar::SenseFast(bool transpose, const DrivePattern& drive,
     const double energy_before = energy_pj;
     thread_local std::vector<double> bounds;
     bounds.assign(sensed, 0.0);
-    accumulate(bounds);
+    AccumulateFast(dir, drive, sensed, rng, currents, bounds, energy_pj);
     const double radius_per_basis =
         2.0 * (device::NoiseModel::kApproxRelError +
                static_cast<double>(drive.active + 2) * 0x1p-53);
@@ -384,7 +345,7 @@ void Crossbar::SenseFast(bool transpose, const DrivePattern& drive,
     std::fill(currents.begin(), currents.end(), 0.0);
     energy_pj = energy_before;
   }
-  accumulate({});
+  AccumulateFast(dir, drive, sensed, rng, currents, {}, energy_pj);
   EncodeLines(currents, sensed, attenuation, full_scale, codes);
 }
 
@@ -397,135 +358,90 @@ void Crossbar::EncodeLines(std::span<const double> currents,
   }
 }
 
+Status Crossbar::CheckCycle(Direction dir, std::size_t driven,
+                           std::size_t sensed) const {
+  const bool forward = dir == Direction::kForward;
+  CIM_REQUIRE(driven == DrivenLines(dir),
+              InvalidArgument(forward ? "row drive size mismatch"
+                                      : "column drive size mismatch"));
+  // 0 means "sense every line"; more than exist is a caller bug, so it is
+  // rejected rather than clamped.
+  CIM_REQUIRE(sensed <= SensedLines(dir),
+              InvalidArgument(forward ? "active_cols exceeds crossbar width"
+                                      : "active_rows exceeds crossbar height"));
+  return Status::Ok();
+}
+
 Expected<AnalogCycleResult> Crossbar::Cycle(
     std::span<const std::uint64_t> row_codes, std::size_t active_cols,
     Rng* noise_rng) {
-  CIM_REQUIRE(row_codes.size() == params_.rows,
-              InvalidArgument("row drive vector size mismatch"));
-  // 0 means "sense every column"; asking for more columns than exist was
-  // previously clamped silently, which hid caller bugs.
-  CIM_REQUIRE(active_cols <= params_.cols,
-              InvalidArgument("active_cols exceeds crossbar width"));
-  thread_local DrivePattern drive;
-  if (Status status = PrepareDrive(params_.dac, row_codes, &drive);
-      !status.ok()) {
-    return status;
-  }
-  return CycleDriven(drive, active_cols, noise_rng);
+  return CycleCodes(Direction::kForward, row_codes, active_cols, noise_rng);
 }
 
-Expected<AnalogCycleResult> Crossbar::CycleDriven(const DrivePattern& drive,
-                                                  std::size_t active_cols,
+Expected<AnalogCycleResult> Crossbar::CycleTranspose(
+    std::span<const std::uint64_t> col_codes, std::size_t active_rows,
+    Rng* noise_rng) {
+  return CycleCodes(Direction::kTranspose, col_codes, active_rows, noise_rng);
+}
+
+Expected<AnalogCycleResult> Crossbar::CycleCodes(
+    Direction dir, std::span<const std::uint64_t> codes, std::size_t sensed,
+    Rng* noise_rng) {
+  CIM_RETURN_IF_ERROR(CheckCycle(dir, codes.size(), sensed));
+  thread_local DrivePattern drive;
+  CIM_RETURN_IF_ERROR(PrepareDrive(params_.dac, codes, &drive));
+  return CycleDriven(dir, drive, sensed, noise_rng);
+}
+
+Expected<AnalogCycleResult> Crossbar::CycleDriven(Direction dir,
+                                                  const DrivePattern& drive,
+                                                  std::size_t sensed,
                                                   Rng* noise_rng) {
+  CIM_RETURN_IF_ERROR(CheckCycle(dir, drive.voltages.size(), sensed));
   Rng& rng = noise_rng != nullptr ? *noise_rng : rng_;
-  CIM_REQUIRE(drive.voltages.size() == params_.rows,
-              InvalidArgument("row drive pattern size mismatch"));
-  CIM_REQUIRE(active_cols <= params_.cols,
-              InvalidArgument("active_cols exceeds crossbar width"));
-  if (active_cols == 0) active_cols = params_.cols;
+  const std::size_t lines = SensedLines(dir);
+  if (sensed == 0) sensed = lines;
 
   AnalogCycleResult result;
-  result.column_codes.assign(params_.cols, 0);
+  result.column_codes.assign(lines, 0);
 
-  // Accumulate noisy column currents and digitize the gated ones. Every
-  // cell on an active row draws (conductance-proportional) read energy.
-  const std::size_t active_rows = drive.active;
-  // First-order IR drop: attenuate with the fraction of simultaneously
-  // active rows.
+  // Accumulate the noisy sensed currents and digitize the gated ones.
+  // Every cell on a driven line draws (conductance-proportional) read
+  // energy. First-order IR drop attenuates with the fraction of
+  // simultaneously driven lines.
   const double attenuation =
-      1.0 - params_.ir_drop_alpha * static_cast<double>(active_rows) /
-                static_cast<double>(params_.rows);
-  const double full_scale = FullScaleCurrent();
-  std::vector<double> currents(params_.cols, 0.0);
+      1.0 - params_.ir_drop_alpha * static_cast<double>(drive.active) /
+                static_cast<double>(DrivenLines(dir));
+  const double full_scale = FullScaleCurrent(dir);
+  std::vector<double> currents(lines, 0.0);
   double energy_pj = 0.0;
   if (params_.kernel == device::KernelPolicy::kReference) {
-    ForwardAccumulateReference(drive, rng, currents, energy_pj);
-    EncodeLines(currents, active_cols, attenuation, full_scale,
+    AccumulateReference(dir, drive, rng, currents, energy_pj);
+    EncodeLines(currents, sensed, attenuation, full_scale,
                 result.column_codes);
   } else {
-    SenseFast(/*transpose=*/false, drive, active_cols, rng, attenuation,
-              full_scale, currents, result.column_codes, energy_pj);
+    SenseFast(dir, drive, sensed, rng, attenuation, full_scale, currents,
+              result.column_codes, energy_pj);
   }
   result.cost.energy_pj = energy_pj;
-  for (std::size_t c = 0; c < active_cols; ++c) {
+  for (std::size_t i = 0; i < sensed; ++i) {
     result.cost.energy_pj += params_.adc.conversion_energy().pj;
   }
 
-  // Latency: one DAC settle + cell read pulse happens for all rows in
-  // parallel; ADC conversions serialize within each ADC group.
-  // Number of ADCs = ceil(cols / columns_per_adc); each converts its share
-  // serially while all ADCs run in parallel, so the critical path is the
-  // share of one ADC.
+  // Latency: one DAC settle + cell read pulse happens for all driven lines
+  // in parallel; ADC conversions serialize within each ADC group. Every
+  // ADC converts its share serially while all ADCs run in parallel, so the
+  // critical path is the share of one ADC.
   const double serial_conversions =
       std::min(static_cast<double>(params_.columns_per_adc),
-               static_cast<double>(active_cols));
+               static_cast<double>(sensed));
   result.cost.latency_ns = params_.dac.settle_latency.ns +
                            params_.cell.read_latency.ns +
                            serial_conversions *
                                params_.adc.conversion_latency().ns;
   result.cost.bytes_moved = 0.0;  // nothing crossed a package boundary
   result.cost.operations =
-      static_cast<std::uint64_t>(active_rows) * active_cols * 2;  // MAC=2ops
-  return result;
-}
-
-Expected<AnalogCycleResult> Crossbar::CycleTranspose(
-    std::span<const std::uint64_t> col_codes, std::size_t active_rows,
-    Rng* noise_rng) {
-  CIM_REQUIRE(col_codes.size() == params_.cols,
-              InvalidArgument("column drive vector size mismatch"));
-  CIM_REQUIRE(active_rows <= params_.rows,
-              InvalidArgument("active_rows exceeds crossbar height"));
-  thread_local DrivePattern drive;
-  if (Status status = PrepareDrive(params_.dac, col_codes, &drive);
-      !status.ok()) {
-    return status;
-  }
-  return CycleTransposeDriven(drive, active_rows, noise_rng);
-}
-
-Expected<AnalogCycleResult> Crossbar::CycleTransposeDriven(
-    const DrivePattern& drive, std::size_t active_rows, Rng* noise_rng) {
-  Rng& rng = noise_rng != nullptr ? *noise_rng : rng_;
-  CIM_REQUIRE(drive.voltages.size() == params_.cols,
-              InvalidArgument("column drive pattern size mismatch"));
-  CIM_REQUIRE(active_rows <= params_.rows,
-              InvalidArgument("active_rows exceeds crossbar height"));
-  if (active_rows == 0) active_rows = params_.rows;
-
-  AnalogCycleResult result;
-  result.column_codes.assign(params_.rows, 0);  // row codes here
-
-  const std::size_t active_cols = drive.active;
-  const double attenuation =
-      1.0 - params_.ir_drop_alpha * static_cast<double>(active_cols) /
-                static_cast<double>(params_.cols);
-  // Full scale along the transpose direction is set by the column count.
-  const double full_scale = static_cast<double>(params_.cols) *
-                            params_.dac.v_read * params_.cell.g_on_siemens;
-  std::vector<double> currents(params_.rows, 0.0);
-  double energy_pj = 0.0;
-  if (params_.kernel == device::KernelPolicy::kReference) {
-    TransposeAccumulateReference(drive, rng, currents, energy_pj);
-    EncodeLines(currents, active_rows, attenuation, full_scale,
-                result.column_codes);
-  } else {
-    SenseFast(/*transpose=*/true, drive, active_rows, rng, attenuation,
-              full_scale, currents, result.column_codes, energy_pj);
-  }
-  result.cost.energy_pj = energy_pj;
-  for (std::size_t r = 0; r < active_rows; ++r) {
-    result.cost.energy_pj += params_.adc.conversion_energy().pj;
-  }
-  const double serial_conversions =
-      std::min(static_cast<double>(params_.columns_per_adc),
-               static_cast<double>(active_rows));
-  result.cost.latency_ns = params_.dac.settle_latency.ns +
-                           params_.cell.read_latency.ns +
-                           serial_conversions *
-                               params_.adc.conversion_latency().ns;
-  result.cost.operations =
-      static_cast<std::uint64_t>(active_cols) * active_rows * 2;
+      static_cast<std::uint64_t>(drive.active) * sensed * 2;  // MAC=2ops
   return result;
 }
 

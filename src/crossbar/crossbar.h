@@ -1,29 +1,34 @@
 // Analog memristor crossbar array.
 //
-// A rows x cols grid of MemristorCell with row DACs and column-shared ADCs.
-// One analog cycle applies voltages on all rows simultaneously and senses
-// every column current — a full matrix-vector multiply in O(1) array time,
-// which is the physical basis of the paper's CIM performance claims: the
-// weights never move, so the "memory bandwidth" of the operation is the
-// whole array refreshed every cycle.
+// A rows x cols grid of MemristorCell with line DACs and shared ADCs. One
+// analog cycle applies voltages on every driven line at once and senses the
+// currents of the crossing lines: a full matrix-vector multiply in O(1)
+// array time, which is the physical basis of the paper's CIM performance
+// claims. The weights never move, so the "memory bandwidth" of the
+// operation is the whole array refreshed every cycle.
+//
+// The array is bidirectional: a forward read drives the rows and senses the
+// columns (y = W^T x, inference), a transpose read drives the columns and
+// senses the rows (g = W e, in-situ backpropagation). Both are one read,
+// CycleDriven(Direction, ...); the direction only picks which lines are
+// driven, which are sensed and how the walk strides through the grid.
 //
 // Kernel structure: the cell grid is the array-of-structs source of truth
 // (program/verify, wear, drift, faults all live on MemristorCell), but the
-// cycle hot loop runs on a structure-of-arrays mirror — a contiguous
-// fault-adjusted conductance plane plus per-row/per-column read-energy sums
-// — refreshed whenever a mutation (ProgramLevels / ProgramCell / Age /
-// InjectCellFault) dirties it. Which kernel runs — and which correctness
-// contract it carries — is selected by CrossbarParams::kernel (see
-// device::KernelPolicy): the per-cell reference walk, the bit-identical SoA
-// fast path, or the statistically-equivalent fast-noise path whose lognormal
-// sampling is owned by device::NoiseModel.
+// fast read runs on a structure-of-arrays mirror: a contiguous
+// fault-adjusted conductance plane per direction plus per-row/per-column
+// read-energy sums, refreshed whenever a mutation (ProgramLevels /
+// ProgramCell / Age / InjectCellFault) dirties it. Which walk runs, and which
+// correctness contract it carries, is selected by CrossbarParams::kernel
+// (see device::KernelPolicy): the per-cell reference walk, the bit-identical
+// SoA fast walk, or the statistically-equivalent fast-noise walk whose
+// lognormal sampling is owned by device::NoiseModel.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/contracts.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -74,7 +79,12 @@ struct CrossbarParams {
   [[nodiscard]] Status Validate() const;
 };
 
-// Result of one analog MVM cycle: raw ADC codes per column and the cost.
+// Which way a cycle reads the array: kForward drives the rows and senses the
+// columns, kTranspose drives the columns and senses the rows.
+enum class Direction { kForward, kTranspose };
+
+// Result of one analog MVM cycle: raw ADC codes per sensed line (columns for
+// a forward read, rows for a transpose read) and the cost.
 struct AnalogCycleResult {
   std::vector<std::uint64_t> column_codes;
   CostReport cost;
@@ -145,12 +155,6 @@ class Crossbar {
       std::span<const std::uint64_t> row_codes, std::size_t active_cols = 0,
       Rng* noise_rng = nullptr);
 
-  // Cycle with a pre-validated drive pattern (see PrepareDrive) — the MVM
-  // engine's fused bit-sweep entry point.
-  [[nodiscard]] Expected<AnalogCycleResult> CycleDriven(
-      const DrivePattern& drive, std::size_t active_cols = 0,
-      Rng* noise_rng = nullptr);
-
   // Transpose cycle: drive the columns, sense the rows (y -> W y). The
   // crossbar is bidirectional — the property the DPE lineage exploits for
   // in-situ backpropagation. Returns `active_rows` row codes. `noise_rng`
@@ -161,13 +165,18 @@ class Crossbar {
       std::span<const std::uint64_t> col_codes, std::size_t active_rows = 0,
       Rng* noise_rng = nullptr);
 
-  // Transpose cycle with a pre-validated drive pattern.
-  [[nodiscard]] Expected<AnalogCycleResult> CycleTransposeDriven(
-      const DrivePattern& drive, std::size_t active_rows = 0,
+  // The one cycle body behind Cycle and CycleTranspose, taking a
+  // pre-validated drive pattern (see PrepareDrive) — the MVM engine's fused
+  // bit-sweep entry point. `drive` has one voltage per driven line of `dir`;
+  // the first `sensed` crossing lines are digitized (0 = all of them).
+  [[nodiscard]] Expected<AnalogCycleResult> CycleDriven(
+      Direction dir, const DrivePattern& drive, std::size_t sensed = 0,
       Rng* noise_rng = nullptr);
 
-  // Full-scale column current the ADC range is calibrated to.
-  [[nodiscard]] double FullScaleCurrent() const;
+  // Full-scale sensed current the ADC range is calibrated to: every driven
+  // line of `dir` at v_read through a g_on cell.
+  [[nodiscard]] double FullScaleCurrent(
+      Direction dir = Direction::kForward) const;
 
   // Noise-free expected column currents for a drive vector — used by tests
   // and golden models to bound quantization error. Reflects stuck-cell
@@ -194,13 +203,6 @@ class Crossbar {
     return write_verify_failures_;
   }
 
-  // Direct cell access for white-box tests.
-  [[nodiscard]] const device::MemristorCell& cell(std::size_t row,
-                                                  std::size_t col) const {
-    CIM_DCHECK(row < params_.rows && col < params_.cols);
-    return cells_[row * params_.cols + col];
-  }
-
  private:
   Crossbar(const CrossbarParams& params, Rng rng);
 
@@ -217,37 +219,46 @@ class Crossbar {
   void RefreshMirror();
   void RefreshMirrorCell(std::size_t row, std::size_t col);
 
-  // The kernel twins behind CycleDriven/CycleTransposeDriven: walk the
-  // driven lines, accumulate noisy currents into `currents` and read+drive
-  // energy into `energy_pj`. The Fast variants serve both kFastBitExact and
-  // kFastNoise — noise_ owns the sampling difference; identical column
-  // codes between kReference and kFastBitExact by construction (the
-  // differential test, mvm_kernel_test, enforces it), statistical
-  // equivalence for kFastNoise (noise_equivalence_test + bench gate). The
-  // Fast variants touch only the sensed prefix (`active_cols` /
-  // `active_rows`, already resolved from 0; see CrossbarParams::kernel).
-  // A non-empty `bounds` (one entry per sensed line, zeroed) selects the
+  // Lines a cycle in `dir` drives (rows forward, columns in transpose) and
+  // the crossing lines it senses.
+  [[nodiscard]] std::size_t DrivenLines(Direction dir) const {
+    return dir == Direction::kForward ? params_.rows : params_.cols;
+  }
+  [[nodiscard]] std::size_t SensedLines(Direction dir) const {
+    return dir == Direction::kForward ? params_.cols : params_.rows;
+  }
+  [[nodiscard]] Status CheckCycle(Direction dir, std::size_t driven,
+                                  std::size_t sensed) const;
+  // Cycle / CycleTranspose: validate and expand `codes`, then CycleDriven.
+  [[nodiscard]] Expected<AnalogCycleResult> CycleCodes(
+      Direction dir, std::span<const std::uint64_t> codes, std::size_t sensed,
+      Rng* noise_rng);
+
+  // The two walks behind CycleDriven, the direction resolved once per cycle
+  // outside the line and cell loops: for every driven line, accumulate the
+  // noisy currents of the crossing lines into `currents` and read+drive
+  // energy into `energy_pj`. AccumulateReference (kReference, the golden
+  // model) reads every cell through MemristorCell::Read: cell
+  // i * line_stride + j * cell_stride of the row-major grid, in that order.
+  // AccumulateFast serves kFastBitExact and kFastNoise (noise_ owns the
+  // sampling difference) on the unit-stride mirror plane of `dir` and its
+  // per-line energy sums, touching only the first `sensed` crossing lines
+  // (see CrossbarParams::kernel): identical codes to kReference for
+  // kFastBitExact by construction (mvm_kernel_test), statistical
+  // equivalence for kFastNoise (noise_equivalence_test + bench gate).
+  // A non-empty `bounds` (one zeroed entry per sensed line) selects the
   // certified path's polynomial factors (NoiseModel::FillFactorsApprox) and
   // accumulates each current's error-bound basis sum |v * g * f| into it;
   // an empty one samples exactly.
-  void ForwardAccumulateReference(const DrivePattern& drive, Rng& rng,
-                                  std::span<double> currents,
-                                  double& energy_pj);
-  void ForwardAccumulateFast(const DrivePattern& drive,
-                             std::size_t active_cols, Rng& rng,
-                             std::span<double> currents,
-                             std::span<double> bounds, double& energy_pj);
-  void TransposeAccumulateReference(const DrivePattern& drive, Rng& rng,
-                                    std::span<double> currents,
-                                    double& energy_pj);
-  void TransposeAccumulateFast(const DrivePattern& drive,
-                               std::size_t active_rows, Rng& rng,
-                               std::span<double> currents,
-                               std::span<double> bounds, double& energy_pj);
+  void AccumulateReference(Direction dir, const DrivePattern& drive, Rng& rng,
+                           std::span<double> currents, double& energy_pj);
+  void AccumulateFast(Direction dir, const DrivePattern& drive,
+                      std::size_t sensed, Rng& rng, std::span<double> currents,
+                      std::span<double> bounds, double& energy_pj);
   // The calling thread's noise-factor buffer, grown to `sensed` entries;
   // null on a quiet device, which draws no factors.
   [[nodiscard]] double* FactorScratch(std::size_t sensed) const;
-  // One driven line of the Fast kernels: `gains` holds the line's
+  // One driven line of AccumulateFast: `gains` holds the line's
   // `line_cells` mirrored conductances, of which the first `sensed` are
   // read; the noise stream still advances over the whole line. `factors`
   // is FactorScratch(sensed).
@@ -255,12 +266,12 @@ class Crossbar {
                       std::size_t line_cells, Rng& rng, double* factors,
                       std::span<double> currents,
                       std::span<double> bounds) const;
-  // Run the Fast kernel of one direction and encode the `sensed` lines into
-  // `codes`. For an approximable noise model (NoiseModel::approximable)
-  // the cycle first runs on polynomial factors and certifies every code;
-  // on any ambiguous code it restores the Rng snapshot and replays on the
-  // exact sampler, so codes and stream always match kReference.
-  void SenseFast(bool transpose, const DrivePattern& drive,
+  // Run AccumulateFast in `dir` and encode the `sensed` lines into `codes`.
+  // For an approximable noise model (NoiseModel::approximable) the cycle
+  // first runs on polynomial factors and certifies every code; on any
+  // ambiguous code it restores the Rng snapshot and replays on the exact
+  // sampler, so codes and stream always match kReference.
+  void SenseFast(Direction dir, const DrivePattern& drive,
                  std::size_t sensed, Rng& rng, double attenuation,
                  double full_scale, std::span<double> currents,
                  std::span<std::uint64_t> codes, double& energy_pj);

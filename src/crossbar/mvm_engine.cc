@@ -8,14 +8,6 @@
 namespace cim::crossbar {
 namespace {
 
-// Attenuation the analog array applies (mirrors Crossbar::Cycle); the
-// digital periphery calibrates it out because it depends only on the known
-// number of active rows.
-double IrAttenuation(const CrossbarParams& p, std::size_t active_rows) {
-  return 1.0 - p.ir_drop_alpha * static_cast<double>(active_rows) /
-                   static_cast<double>(p.rows);
-}
-
 // Exact 2^e for the shift-and-add weights: every (bit, slice) exponent fits
 // a shift, and the conversion to double is exact, so this is bit-identical
 // to the std::pow(2.0, e) calls it replaced — without the libm call in the
@@ -34,15 +26,16 @@ Status MvmEngineParams::Validate() const {
   if (input_bits < 1 || input_bits > 16) {
     return InvalidArgument("input_bits must be in [1, 16]");
   }
-  if (weight_range <= 0.0 || input_range <= 0.0) {
-    return InvalidArgument("ranges must be positive");
+  if (!std::isfinite(weight_range) || !std::isfinite(input_range) ||
+      weight_range <= 0.0 || input_range <= 0.0) {
+    return InvalidArgument("ranges must be finite and positive");
   }
   if (array.dac.bits != 1) {
     return InvalidArgument("the MVM engine drives inputs bit-serially and "
                            "requires 1-bit DACs");
   }
-  if (guard_margin <= 0.0) {
-    return InvalidArgument("guard_margin must be positive");
+  if (!std::isfinite(guard_margin) || guard_margin <= 0.0) {
+    return InvalidArgument("guard_margin must be finite and positive");
   }
   return array.Validate();
 }
@@ -256,6 +249,81 @@ Expected<CostReport> MvmEngine::UpdateWeights(
   return total;
 }
 
+double MvmEngine::OutputScale() const {
+  const auto max_w_code =
+      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
+  const auto max_x_code =
+      static_cast<double>((1ULL << params_.input_bits) - 1);
+  return (params_.weight_range / max_w_code) *
+         (params_.input_range / max_x_code);
+}
+
+double MvmEngine::LevelStep() const {
+  const device::MemristorParams& cell = params_.array.cell;
+  return (cell.g_on_siemens - cell.g_off_siemens) /
+         static_cast<double>(cell.levels() - 1);
+}
+
+Status MvmEngine::BitSweep(Direction dir, std::span<const std::uint64_t> codes,
+                           double sign, std::span<double> accum,
+                           Rng* noise_rng, CostReport& cost) {
+  const CrossbarParams& array = params_.array;
+  const double v_read = array.dac.v_read;
+  const double g_step = LevelStep();
+  const std::size_t lines =
+      dir == Direction::kForward ? array.rows : array.cols;
+  const double full_scale = positive_planes_.front().FullScaleCurrent(dir);
+  std::vector<std::uint64_t> line_codes(lines, 0);
+  // Fused bit-sweep: one drive pattern per input bit, validated and
+  // expanded to voltages once, then shared by every (slice, plane) array's
+  // cycle — instead of each of the 2 * slices arrays re-validating the
+  // same codes.
+  DrivePattern drive;
+  for (int b = 0; b < params_.input_bits; ++b) {
+    for (std::size_t i = 0; i < lines; ++i) {
+      line_codes[i] = i < codes.size() ? ((codes[i] >> b) & 1ULL) : 0ULL;
+    }
+    CIM_RETURN_IF_ERROR(PrepareDrive(array.dac, line_codes, &drive));
+    // The digital periphery calibrates the IR-drop attenuation out: it
+    // depends only on the known number of driven lines.
+    const std::size_t active = drive.active;
+    const double attenuation =
+        1.0 - array.ir_drop_alpha * static_cast<double>(active) /
+                  static_cast<double>(lines);
+    const double bit_weight = Pow2(b);
+
+    double cycle_latency = 0.0;
+    for (int s = 0; s < params_.slices(); ++s) {
+      const double slice_weight =
+          bit_weight * slice_pow_[static_cast<std::size_t>(s)];
+      for (int plane = 0; plane < 2; ++plane) {
+        Crossbar& xbar =
+            plane == 0 ? positive_planes_[s] : negative_planes_[s];
+        auto cycle = xbar.CycleDriven(dir, drive, accum.size(), noise_rng);
+        if (!cycle.ok()) return cycle.status();
+        // All (slice, plane) arrays fire in parallel within the bit cycle.
+        cycle_latency = std::max(cycle_latency, cycle->cost.latency_ns);
+        cost.energy_pj += cycle->cost.energy_pj;
+        cost.operations += cycle->cost.operations;
+        const double line_sign = (plane == 0 ? 1.0 : -1.0) * sign;
+        for (std::size_t i = 0; i < accum.size(); ++i) {
+          const double sensed =
+              array.adc.Decode(cycle->column_codes[i], full_scale);
+          const double corrected = sensed / attenuation -
+                                   static_cast<double>(active) * v_read *
+                                       array.cell.g_off_siemens;
+          const double digit_sum =
+              std::max(0.0, std::round(corrected / (v_read * g_step)));
+          accum[i] += line_sign * slice_weight * digit_sum;
+          cost.energy_pj += params_.shift_add_energy.pj;
+        }
+      }
+    }
+    cost.latency_ns += cycle_latency + params_.shift_add_latency.ns;
+  }
+  return Status::Ok();
+}
+
 Expected<MvmResult> MvmEngine::Compute(std::span<const double> x,
                                        Rng* noise_rng) {
   if (!programmed_) {
@@ -266,97 +334,35 @@ Expected<MvmResult> MvmEngine::Compute(std::span<const double> x,
   std::vector<std::uint64_t> codes(in_dim_);
   for (std::size_t i = 0; i < in_dim_; ++i) codes[i] = QuantizeInput(x[i]);
 
-  const CrossbarParams& array = params_.array;
-  const double v_read = array.dac.v_read;
-  const double g_step = (array.cell.g_on_siemens - array.cell.g_off_siemens) /
-                        static_cast<double>(array.cell.levels() - 1);
-  const double full_scale = static_cast<double>(array.rows) * v_read *
-                            array.cell.g_on_siemens;
-
+  // The guard is simply the last sensed column. Sensing it costs one extra
+  // ADC conversion per cycle but leaves the noise stream unchanged: a cycle
+  // advances the read-noise stream over every cell on an active row
+  // regardless of how many columns are digitized (only the sensed columns'
+  // factors are computed), so guard-on and guard-off runs stay
+  // bit-identical on the logical outputs.
+  std::vector<double> accum(params_.guard_column ? out_dim_ + 1 : out_dim_,
+                            0.0);
   MvmResult result;
-  result.y.assign(out_dim_, 0.0);
-  std::vector<double> accum(out_dim_, 0.0);
-  double accum_guard = 0.0;
-  std::vector<std::uint64_t> row_codes(array.rows, 0);
-  // Sensing the guard costs one extra ADC conversion per cycle but leaves
-  // the noise stream unchanged: Crossbar::Cycle advances the read-noise
-  // stream over every cell on an active row regardless of how many columns
-  // are digitized (only the sensed columns' factors are computed), so
-  // guard-on and guard-off runs stay bit-identical on the logical outputs.
-  const std::size_t sense_cols =
-      params_.guard_column ? out_dim_ + 1 : out_dim_;
+  CIM_RETURN_IF_ERROR(BitSweep(Direction::kForward, codes, 1.0, accum,
+                               noise_rng, result.cost));
 
-  // Fused bit-sweep: one drive pattern per input bit, validated and
-  // expanded to voltages once, then shared by every (slice, plane) array's
-  // cycle — instead of each of the 2 * slices arrays re-validating the
-  // same codes.
-  DrivePattern drive;
-  for (int b = 0; b < params_.input_bits; ++b) {
-    for (std::size_t r = 0; r < array.rows; ++r) {
-      row_codes[r] = r < in_dim_ ? ((codes[r] >> b) & 1ULL) : 0ULL;
-    }
-    if (Status status = PrepareDrive(array.dac, row_codes, &drive);
-        !status.ok()) {
-      return status;
-    }
-    const std::size_t active = drive.active;
-    const double attenuation = IrAttenuation(array, active);
-    const double bit_weight = Pow2(b);
-
-    double cycle_latency = 0.0;
-    for (int s = 0; s < params_.slices(); ++s) {
-      const double slice_weight =
-          bit_weight * slice_pow_[static_cast<std::size_t>(s)];
-      for (int plane = 0; plane < 2; ++plane) {
-        Crossbar& xbar =
-            plane == 0 ? positive_planes_[s] : negative_planes_[s];
-        auto cycle = xbar.CycleDriven(drive, sense_cols, noise_rng);
-        if (!cycle.ok()) return cycle.status();
-        // All (slice, plane) arrays fire in parallel within the bit cycle.
-        cycle_latency = std::max(cycle_latency, cycle->cost.latency_ns);
-        result.cost.energy_pj += cycle->cost.energy_pj;
-        result.cost.operations += cycle->cost.operations;
-        const double sign = plane == 0 ? 1.0 : -1.0;
-        for (std::size_t c = 0; c < sense_cols; ++c) {
-          const double sensed =
-              array.adc.Decode(cycle->column_codes[c], full_scale);
-          const double corrected = sensed / attenuation -
-                                   static_cast<double>(active) * v_read *
-                                       array.cell.g_off_siemens;
-          const double digit_sum =
-              std::max(0.0, std::round(corrected / (v_read * g_step)));
-          if (c < out_dim_) {
-            accum[c] += sign * slice_weight * digit_sum;
-          } else {
-            accum_guard += sign * slice_weight * digit_sum;
-          }
-          result.cost.energy_pj += params_.shift_add_energy.pj;
-        }
-      }
-    }
-    result.cost.latency_ns += cycle_latency + params_.shift_add_latency.ns;
-  }
-
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
+  const double scale = OutputScale();
+  result.y.resize(out_dim_);
   for (std::size_t c = 0; c < out_dim_; ++c) result.y[c] = accum[c] * scale;
 
   if (params_.guard_column) {
     // ABFT check: guard holds row sums / guard_scale_, so in exact
     // arithmetic guard_scale_ * y_guard == sum_c y_c for any input.
     double y_sum = 0.0;
-    for (double a : accum) y_sum += a;
+    for (std::size_t c = 0; c < out_dim_; ++c) y_sum += accum[c];
     double sum_x_codes = 0.0;
     for (std::uint64_t code : codes) {
       sum_x_codes += static_cast<double>(code);
     }
     result.guard_checked = true;
     result.guard_residual =
-        std::abs(static_cast<double>(guard_scale_) * accum_guard - y_sum) *
+        std::abs(static_cast<double>(guard_scale_) * accum[out_dim_] -
+                 y_sum) *
         scale;
     result.guard_threshold = GuardThreshold(sum_x_codes);
     result.guard_ok = result.guard_residual <= result.guard_threshold;
@@ -372,10 +378,8 @@ double MvmEngine::GuardThreshold(double sum_x_codes) const {
   //     summing in quadrature down the column.
   const CrossbarParams& array = params_.array;
   const double v_read = array.dac.v_read;
-  const double g_step = (array.cell.g_on_siemens - array.cell.g_off_siemens) /
-                        static_cast<double>(array.cell.levels() - 1);
-  const double full_scale = static_cast<double>(array.rows) * v_read *
-                            array.cell.g_on_siemens;
+  const double g_step = LevelStep();
+  const double full_scale = positive_planes_.front().FullScaleCurrent();
   const double adc_lsb_digits =
       full_scale / static_cast<double>((1ULL << array.adc.bits) - 1) /
       (1.0 - array.ir_drop_alpha) / (v_read * g_step);
@@ -402,13 +406,7 @@ double MvmEngine::GuardThreshold(double sum_x_codes) const {
   const double s = static_cast<double>(guard_scale_);
   const double column_mix =
       std::sqrt(static_cast<double>(out_dim_) + s * s);
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
-  return params_.guard_margin * scale *
+  return params_.guard_margin * OutputScale() *
          (rho * column_mix * w_rms + 0.5 * s * sum_x_codes);
 }
 
@@ -421,82 +419,20 @@ Expected<MvmResult> MvmEngine::ComputeTranspose(std::span<const double> e,
   if (e.size() != out_dim_) return InvalidArgument("error size mismatch");
 
   // Split the signed error into non-negative halves; each half runs a full
-  // bit-serial transpose pass.
+  // bit-serial transpose sweep into the same accumulators.
   std::vector<std::uint64_t> pos_codes(out_dim_), neg_codes(out_dim_);
   for (std::size_t i = 0; i < out_dim_; ++i) {
     pos_codes[i] = QuantizeInput(std::max(e[i], 0.0));
     neg_codes[i] = QuantizeInput(std::max(-e[i], 0.0));
   }
-
-  const CrossbarParams& array = params_.array;
-  const double v_read = array.dac.v_read;
-  const double g_step = (array.cell.g_on_siemens - array.cell.g_off_siemens) /
-                        static_cast<double>(array.cell.levels() - 1);
-  const double full_scale = static_cast<double>(array.cols) * v_read *
-                            array.cell.g_on_siemens;
-
-  MvmResult result;
-  result.y.assign(in_dim_, 0.0);
   std::vector<double> accum(in_dim_, 0.0);
-  std::vector<std::uint64_t> col_codes(array.cols, 0);
-
-  // Same fused bit-sweep as Compute: one drive pattern per (half, bit),
-  // shared across every (slice, plane) array.
-  DrivePattern drive;
-  for (int half = 0; half < 2; ++half) {
-    const std::vector<std::uint64_t>& codes =
-        half == 0 ? pos_codes : neg_codes;
-    const double half_sign = half == 0 ? 1.0 : -1.0;
-    for (int b = 0; b < params_.input_bits; ++b) {
-      for (std::size_t c = 0; c < array.cols; ++c) {
-        col_codes[c] = c < out_dim_ ? ((codes[c] >> b) & 1ULL) : 0ULL;
-      }
-      if (Status status = PrepareDrive(array.dac, col_codes, &drive);
-          !status.ok()) {
-        return status;
-      }
-      const std::size_t active = drive.active;
-      const double attenuation =
-          1.0 - array.ir_drop_alpha * static_cast<double>(active) /
-                    static_cast<double>(array.cols);
-      const double bit_weight = Pow2(b);
-
-      double cycle_latency = 0.0;
-      for (int s = 0; s < params_.slices(); ++s) {
-        const double slice_weight =
-            bit_weight * slice_pow_[static_cast<std::size_t>(s)];
-        for (int plane = 0; plane < 2; ++plane) {
-          Crossbar& xbar =
-              plane == 0 ? positive_planes_[s] : negative_planes_[s];
-          auto cycle = xbar.CycleTransposeDriven(drive, in_dim_, noise_rng);
-          if (!cycle.ok()) return cycle.status();
-          cycle_latency = std::max(cycle_latency, cycle->cost.latency_ns);
-          result.cost.energy_pj += cycle->cost.energy_pj;
-          result.cost.operations += cycle->cost.operations;
-          const double sign = (plane == 0 ? 1.0 : -1.0) * half_sign;
-          for (std::size_t r = 0; r < in_dim_; ++r) {
-            const double sensed =
-                array.adc.Decode(cycle->column_codes[r], full_scale);
-            const double corrected = sensed / attenuation -
-                                     static_cast<double>(active) * v_read *
-                                         array.cell.g_off_siemens;
-            const double digit_sum =
-                std::max(0.0, std::round(corrected / (v_read * g_step)));
-            accum[r] += sign * slice_weight * digit_sum;
-            result.cost.energy_pj += params_.shift_add_energy.pj;
-          }
-        }
-      }
-      result.cost.latency_ns += cycle_latency + params_.shift_add_latency.ns;
-    }
-  }
-
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
+  MvmResult result;
+  CIM_RETURN_IF_ERROR(BitSweep(Direction::kTranspose, pos_codes, 1.0, accum,
+                               noise_rng, result.cost));
+  CIM_RETURN_IF_ERROR(BitSweep(Direction::kTranspose, neg_codes, -1.0, accum,
+                               noise_rng, result.cost));
+  const double scale = OutputScale();
+  result.y.resize(in_dim_);
   for (std::size_t r = 0; r < in_dim_; ++r) result.y[r] = accum[r] * scale;
   return result;
 }
@@ -508,12 +444,6 @@ Expected<std::vector<double>> MvmEngine::GoldenComputeTranspose(
                               "GoldenComputeTranspose");
   }
   if (e.size() != out_dim_) return InvalidArgument("error size mismatch");
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
   std::vector<double> g(in_dim_, 0.0);
   for (std::size_t c = 0; c < out_dim_; ++c) {
     const double pos = static_cast<double>(
@@ -526,6 +456,7 @@ Expected<std::vector<double>> MvmEngine::GoldenComputeTranspose(
       g[r] += static_cast<double>(weight_codes_[r * out_dim_ + c]) * code;
     }
   }
+  const double scale = OutputScale();
   for (double& v : g) v *= scale;
   return g;
 }
@@ -536,12 +467,6 @@ Expected<std::vector<double>> MvmEngine::GoldenCompute(
     return FailedPrecondition("ProgramWeights must run before GoldenCompute");
   }
   if (x.size() != in_dim_) return InvalidArgument("input size mismatch");
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
   std::vector<double> y(out_dim_, 0.0);
   for (std::size_t r = 0; r < in_dim_; ++r) {
     const auto xcode = static_cast<double>(QuantizeInput(x[r]));
@@ -550,6 +475,7 @@ Expected<std::vector<double>> MvmEngine::GoldenCompute(
       y[c] += static_cast<double>(weight_codes_[r * out_dim_ + c]) * xcode;
     }
   }
+  const double scale = OutputScale();
   for (double& v : y) v *= scale;
   return y;
 }
@@ -561,10 +487,8 @@ double MvmEngine::AdcErrorBound() const {
   // over planes. Assumes read noise and faults are disabled.
   const CrossbarParams& array = params_.array;
   const double v_read = array.dac.v_read;
-  const double g_step = (array.cell.g_on_siemens - array.cell.g_off_siemens) /
-                        static_cast<double>(array.cell.levels() - 1);
-  const double full_scale = static_cast<double>(array.rows) * v_read *
-                            array.cell.g_on_siemens;
+  const double g_step = LevelStep();
+  const double full_scale = positive_planes_.front().FullScaleCurrent();
   const double adc_lsb_current =
       full_scale / static_cast<double>((1ULL << array.adc.bits) - 1);
   // Worst-case attenuation correction amplifies the ADC error by at most
@@ -580,13 +504,7 @@ double MvmEngine::AdcErrorBound() const {
       weight_sum += 2.0 * Pow2(b + s * cell_bits);  // two planes
     }
   }
-  const auto max_w_code =
-      static_cast<double>((1LL << (params_.weight_bits - 1)) - 1);
-  const auto max_x_code =
-      static_cast<double>((1ULL << params_.input_bits) - 1);
-  const double scale = (params_.weight_range / max_w_code) *
-                       (params_.input_range / max_x_code);
-  return weight_sum * digit_error_per_cycle * scale;
+  return weight_sum * digit_error_per_cycle * OutputScale();
 }
 
 void MvmEngine::InjectCellFault(int plane, int slice, std::size_t row,

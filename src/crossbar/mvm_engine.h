@@ -160,6 +160,20 @@ class MvmEngine {
 
   [[nodiscard]] std::int64_t QuantizeWeight(double w) const;
   [[nodiscard]] std::uint64_t QuantizeInput(double x) const;
+  // Output value of one unit of (weight code x input code).
+  [[nodiscard]] double OutputScale() const;
+  // Conductance step between adjacent cell levels.
+  [[nodiscard]] double LevelStep() const;
+
+  // The bit-serial sweep Compute and ComputeTranspose share: per input bit,
+  // drive bit b of `codes` on the first codes.size() lines of `dir`, cycle
+  // every (slice, plane) array, and shift-and-add each of the first
+  // accum.size() sensed lines' digit sums into `accum` with weight
+  // sign * plane sign * 2^(b + slice * cell_bits). Adds the sweep's cost.
+  [[nodiscard]] Status BitSweep(Direction dir,
+                                std::span<const std::uint64_t> codes,
+                                double sign, std::span<double> accum,
+                                Rng* noise_rng, CostReport& cost);
 
   // Fault-free residual spread estimate behind the guard threshold;
   // `sum_x_codes` is the current input's total code mass.

@@ -641,41 +641,18 @@ DpeAccelerator::RecoverAtBoundary() {
 }
 
 Expected<InferResult> DpeAccelerator::Infer(const nn::Tensor& input) {
-  if (input.shape() != net_.input_shape) {
-    return InvalidArgument("input shape mismatch");
-  }
-  if (injector_ != nullptr && injector_->armed()) {
-    injector_->AdvanceTo(committed_elements_);
-  }
-  ElementTrace trace;
-  auto result = RunElement(input, 0, &trace);
-  if (result.ok()) {
-    if (ft_enabled()) {
-      const auto remapped = RecoverAtBoundary();
-      for (const auto& flagged : trace.flagged) {
-        if (std::find(remapped.begin(), remapped.end(), flagged) !=
-            remapped.end()) {
-          ++trace.report.remapped;
-        }
-      }
-    }
-    result->fault_report = trace.report;
-    // remapped is tallied by RecoverAtBoundary itself (one count per remap
-    // operation; per-element attribution can legitimately exceed it).
-    recovery_stats_.detected += trace.report.detected;
-    recovery_stats_.retried += trace.report.retried;
-    recovery_stats_.degraded += trace.report.degraded;
-    CommitCalls(1);
-    ++committed_elements_;
-  }
-  return result;
+  // A batch of one is one wave (StructuralStepsIn is an open interval), so
+  // this is the batch path's AdvanceTo, recovery, attribution and commit.
+  auto results = InferBatch(std::span<const nn::Tensor>(&input, 1));
+  if (!results.ok()) return results.status();
+  return std::move(results->front());
 }
 
 Expected<std::vector<InferResult>> DpeAccelerator::InferBatch(
     std::span<const nn::Tensor> inputs) {
   for (const nn::Tensor& input : inputs) {
     if (input.shape() != net_.input_shape) {
-      return InvalidArgument("input shape mismatch in batch");
+      return InvalidArgument("input shape mismatch");
     }
   }
   if (inputs.empty()) return std::vector<InferResult>{};
@@ -738,6 +715,8 @@ Expected<std::vector<InferResult>> DpeAccelerator::InferBatch(
     if (!element.ok()) return element.status();
     results.push_back(std::move(element.value()));
     results.back().fault_report = traces[b].report;
+    // remapped is tallied by RecoverAtBoundary itself (one count per remap
+    // operation; per-element attribution can legitimately exceed it).
     recovery_stats_.detected += traces[b].report.detected;
     recovery_stats_.retried += traces[b].report.retried;
     recovery_stats_.degraded += traces[b].report.degraded;

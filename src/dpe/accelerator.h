@@ -78,8 +78,8 @@ class DpeAccelerator {
   [[nodiscard]] static Expected<std::unique_ptr<DpeAccelerator>> Create(
       const DpeParams& params, const nn::Network& net, Rng rng);
 
-  // Batch-1 inference. Engine tiles within each layer run in parallel on
-  // the pool (params.worker_threads).
+  // Batch-1 inference: InferBatch over one input. Engine tiles within each
+  // layer run in parallel on the pool (params.worker_threads).
   [[nodiscard]] Expected<InferResult> Infer(const nn::Tensor& input);
 
   // Batched inference: batch elements run in parallel across the pool.

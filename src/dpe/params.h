@@ -8,6 +8,8 @@
 // constants preserve.
 #pragma once
 
+#include <cmath>
+
 #include "common/status.h"
 #include "crossbar/crossbar.h"
 #include "reliability/aging_monitor.h"
@@ -41,8 +43,8 @@ struct FaultToleranceParams {
 
   [[nodiscard]] Status Validate() const {
     if (max_retries < 0) return InvalidArgument("max_retries must be >= 0");
-    if (guard_margin <= 0.0) {
-      return InvalidArgument("guard_margin must be positive");
+    if (!std::isfinite(guard_margin) || guard_margin <= 0.0) {
+      return InvalidArgument("guard_margin must be finite and positive");
     }
     return aging.Validate();
   }

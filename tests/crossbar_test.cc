@@ -149,6 +149,22 @@ TEST(CrossbarTest, CycleRejectsWrongDrive) {
   EXPECT_FALSE(xbar->Cycle(wrong_size).ok());
   std::vector<std::uint64_t> bad_code(4, 7);  // 1-bit DAC
   EXPECT_EQ(xbar->Cycle(bad_code).status().code(), ErrorCode::kOutOfRange);
+  // The transpose read drives the 6 columns and senses the 4 rows of a
+  // non-square array, so a swapped geometry cannot pass.
+  auto wide = Crossbar::Create(QuietParams(4, 6), Rng(1));
+  ASSERT_TRUE(wide.ok());
+  const std::vector<std::uint64_t> row_sized(4, 1);
+  EXPECT_EQ(wide->CycleTranspose(row_sized).status().code(),
+            ErrorCode::kInvalidArgument);
+  const std::vector<std::uint64_t> col_drive(6, 1);
+  EXPECT_EQ(wide->CycleTranspose(col_drive, /*active_rows=*/5).status().code(),
+            ErrorCode::kInvalidArgument);
+  const std::vector<std::uint64_t> bad_col_code(6, 2);  // 1-bit DAC
+  EXPECT_EQ(wide->CycleTranspose(bad_col_code).status().code(),
+            ErrorCode::kOutOfRange);
+  auto sensed = wide->CycleTranspose(col_drive, /*active_rows=*/4);
+  ASSERT_TRUE(sensed.ok());
+  EXPECT_EQ(sensed->column_codes.size(), 4u);
 }
 
 TEST(CrossbarTest, SensedCurrentsMatchIdealWithinAdcStep) {

@@ -33,6 +33,19 @@ TEST(DpeParamsTest, IsaacDefaultsValidate) {
   EXPECT_EQ(DpeParams::Isaac().slices(), 4);  // 7 magnitude bits / 2
 }
 
+TEST(DpeParamsTest, RejectsNanGuardMargin) {
+  // A NaN margin fails every `residual <= threshold` check, so every tile
+  // would silently degrade; validation has to reject it up front.
+  DpeParams p = QuietIsaac();
+  p.fault_tolerance.enabled = true;
+  p.fault_tolerance.guard_margin = std::nan("");
+  EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+  Rng rng(7);
+  const nn::Network net = SmallMlp(rng);
+  EXPECT_EQ(DpeAccelerator::Create(p, net, Rng(8)).status().code(),
+            ErrorCode::kInvalidArgument);
+}
+
 TEST(DpeParamsTest, CycleCostsPositiveAndAdcDominated) {
   const DpeParams p = DpeParams::Isaac();
   EXPECT_GT(p.CycleLatencyNs(), 0.0);

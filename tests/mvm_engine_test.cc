@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -51,6 +52,21 @@ TEST(MvmEngineParamsTest, Validation) {
   p = QuietParams();
   p.input_range = -1.0;
   EXPECT_FALSE(p.Validate().ok());
+  // A NaN passes a plain `x <= 0.0` check and an infinity is positive;
+  // both must be rejected.
+  const double kNan = std::nan("");
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kNan, kInf}) {
+    p = QuietParams();
+    p.weight_range = bad;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+    p = QuietParams();
+    p.input_range = bad;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+    p = QuietParams();
+    p.guard_margin = bad;
+    EXPECT_EQ(p.Validate().code(), ErrorCode::kInvalidArgument);
+  }
 }
 
 TEST(MvmEngineTest, CreateRejectsOversizedDims) {

@@ -137,6 +137,15 @@ TEST(KernelDifferentialTest, ForwardBitIdenticalUnderFaultsAndAging) {
     auto reference = twins.reference.Compute(x, &ref_rng);
     ASSERT_TRUE(fast.ok() && reference.ok());
     ExpectBitIdentical(*fast, *reference);
+    // The transpose read of the same corrupted twins: the reference walk
+    // strides down the columns of the row-major grid, the fast walk reads
+    // the transposed mirror, and both must see the faults and the drift.
+    std::vector<double> e(20);
+    for (double& v : e) v = in_rng.Uniform(-1.0, 1.0);
+    auto fast_t = twins.fast.ComputeTranspose(e, &fast_rng);
+    auto reference_t = twins.reference.ComputeTranspose(e, &ref_rng);
+    ASSERT_TRUE(fast_t.ok() && reference_t.ok());
+    ExpectBitIdentical(*fast_t, *reference_t);
   }
 }
 
