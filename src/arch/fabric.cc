@@ -56,28 +56,14 @@ Expected<std::unique_ptr<Fabric>> Fabric::Create(const FabricParams& params) {
         units.push_back(std::move(mu.value()));
       }
       fabric->tiles_.emplace_back(noc::NodeId{x, y}, std::move(units));
-      fabric->WireNode(noc::NodeId{x, y});
+      fabric->noc_->SetDeliverySink(noc::NodeId{x, y}, fabric.get());
     }
   }
-  Fabric* self = fabric.get();
-  fabric->noc_->SetDropHandler(
-      [self](const noc::Packet& packet, noc::DropReason) {
-        auto it = self->inflight_start_.find(packet.id);
-        if (it != self->inflight_start_.end()) {
-          self->inflight_start_.erase(it);
-        }
-        ++self->stats_[packet.stream_id].failed;
-      });
   return fabric;
 }
 
 Fabric::Fabric(const FabricParams& params)
     : params_(params), cipher_(params.cipher_key) {}
-
-void Fabric::WireNode(noc::NodeId node) {
-  noc_->SetDeliveryHandler(
-      node, [this](const noc::Delivery& delivery) { OnDelivery(delivery); });
-}
 
 Expected<Tile*> Fabric::TileAt(noc::NodeId node) {
   if (node.x >= params_.mesh.width || node.y >= params_.mesh.height) {
@@ -243,41 +229,37 @@ void Fabric::ProcessAt(std::uint64_t stream_id, noc::NodeId node,
           cipher_.Apply(packet.inline_payload, packet.id);
       stats_[stream_id].compute_cost += cipher_cost;
     }
-    inflight_start_[packet.id] = start;
-    inflight_index_[packet.id] = next_index;
+    inflight_[packet.id] = Inflight{start, next_index};
     const std::uint64_t packet_id = packet.id;
     if (Status s = noc_->Inject(std::move(packet)); !s.ok()) {
       // Injection-time drops (failed destination, cut-off source) already
-      // ran the drop handler, which erased the inflight entry and counted
-      // the failure; count here only when the mesh never saw the packet.
-      if (inflight_start_.erase(packet_id) > 0) {
-        ++stats_[stream_id].failed;
-      }
-      inflight_index_.erase(packet_id);
+      // ran OnDrop, which erased the inflight entry and counted the
+      // failure; count here only when the mesh never saw the packet.
+      if (inflight_.erase(packet_id) > 0) ++stats_[stream_id].failed;
     }
   });
 }
 
-void Fabric::OnDelivery(const noc::Delivery& delivery) {
+void Fabric::OnDelivery(noc::Delivery&& delivery) {
   if (delivery.packet.kind == noc::PayloadKind::kCode) {
-    HandleCodePacket(delivery);
+    HandleCodePacket(delivery.packet);
   } else {
-    HandleDataPacket(delivery);
+    HandleDataPacket(std::move(delivery.packet));
   }
 }
 
-void Fabric::HandleDataPacket(const noc::Delivery& delivery) {
-  noc::Packet packet = delivery.packet;
-  const auto start_it = inflight_start_.find(packet.id);
-  const auto index_it = inflight_index_.find(packet.id);
-  if (start_it == inflight_start_.end() ||
-      index_it == inflight_index_.end()) {
+void Fabric::OnDrop(const noc::Packet& packet, noc::DropReason) {
+  inflight_.erase(packet.id);
+  ++stats_[packet.stream_id].failed;
+}
+
+void Fabric::HandleDataPacket(noc::Packet&& packet) {
+  const auto it = inflight_.find(packet.id);
+  if (it == inflight_.end()) {
     return;  // unknown packet (e.g. injected directly into the NoC)
   }
-  const TimeNs start = start_it->second;
-  const std::size_t path_index = index_it->second;
-  inflight_start_.erase(start_it);
-  inflight_index_.erase(index_it);
+  const Inflight hop = it->second;
+  inflight_.erase(it);
 
   if (packet.encrypted) {
     const CostReport cipher_cost =
@@ -289,8 +271,8 @@ void Fabric::HandleDataPacket(const noc::Delivery& delivery) {
     ++stats_[packet.stream_id].failed;
     return;
   }
-  ProcessAt(packet.stream_id, packet.destination, path_index,
-            std::move(payload.value()), start);
+  ProcessAt(packet.stream_id, packet.destination, hop.path_index,
+            std::move(payload.value()), hop.start);
 }
 
 Status Fabric::SendProgram(noc::NodeId source, noc::NodeId dst,
@@ -316,8 +298,7 @@ Status Fabric::SendProgram(noc::NodeId source, noc::NodeId dst,
   return noc_->Inject(std::move(packet));
 }
 
-void Fabric::HandleCodePacket(const noc::Delivery& delivery) {
-  const noc::Packet& packet = delivery.packet;
+void Fabric::HandleCodePacket(const noc::Packet& packet) {
   if (params_.authenticate_code &&
       !cipher_.Verify(packet.inline_payload, packet.id, packet.auth_tag)) {
     ++rejected_code_loads_;

@@ -84,7 +84,8 @@ struct StreamStats {
   CostReport compute_cost;
 };
 
-class Fabric {
+// The fabric is the NoC receiver on every tile node.
+class Fabric final : public noc::DeliverySink {
  public:
   using Sink =
       std::function<void(std::vector<double> payload, TimeNs completed_at)>;
@@ -140,12 +141,15 @@ class Fabric {
   // Total fabric-side compute cost (all tiles) plus NoC cost.
   [[nodiscard]] CostReport TotalCost() const;
 
+  // noc::DeliverySink: data packets continue their stream, code packets
+  // reprogram a micro-unit; a drop fails the packet's stream.
+  void OnDelivery(noc::Delivery&& delivery) override;
+  void OnDrop(const noc::Packet& packet, noc::DropReason reason) override;
+
  private:
   explicit Fabric(const FabricParams& params);
-  void WireNode(noc::NodeId node);
-  void OnDelivery(const noc::Delivery& delivery);
-  void HandleDataPacket(const noc::Delivery& delivery);
-  void HandleCodePacket(const noc::Delivery& delivery);
+  void HandleDataPacket(noc::Packet&& packet);
+  void HandleCodePacket(const noc::Packet& packet);
   // Run the payload through the tile at `node`, then either forward it to
   // the next hop or fire the stream sink.
   void ProcessAt(std::uint64_t stream_id, noc::NodeId node,
@@ -160,6 +164,11 @@ class Fabric {
     Sink sink;
     bool dynamic = false;
   };
+  // A data packet on the mesh between two nodes of its stream.
+  struct Inflight {
+    TimeNs start;            // when the stream's payload was injected
+    std::size_t path_index;  // index of the destination node in the path
+  };
 
   FabricParams params_;
   EventQueue queue_;
@@ -172,8 +181,7 @@ class Fabric {
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t rejected_injections_ = 0;
   std::uint64_t rejected_code_loads_ = 0;
-  std::map<std::uint64_t, TimeNs> inflight_start_;  // packet id -> inject time
-  std::map<std::uint64_t, std::size_t> inflight_index_;  // packet id -> hop
+  std::map<std::uint64_t, Inflight> inflight_;  // by packet id
 };
 
 }  // namespace cim::arch

@@ -40,31 +40,12 @@ Expected<std::unique_ptr<DataflowExecutor>> DataflowExecutor::Create(
     exec->states_.emplace(node.name, std::move(state));
   }
 
-  // Wire a delivery handler per tile: the packet's stream_id indexes the
-  // destination node by topological position.
   auto order = exec->graph_.TopologicalOrder();
   if (!order.ok()) return order.status();
-  DataflowExecutor* self = exec.get();
-  const std::vector<std::string> node_order = *order;
+  exec->node_order_ = std::move(*order);
   for (std::uint16_t y = 0; y < params.mesh.height; ++y) {
     for (std::uint16_t x = 0; x < params.mesh.width; ++x) {
-      exec->noc_->SetDeliveryHandler(
-          {x, y}, [self, node_order](const noc::Delivery& delivery) {
-            const std::size_t node_index = delivery.packet.stream_id;
-            if (node_index >= node_order.size()) {
-              // Packets carry the destination node's topological index; an
-              // index past the graph means a corrupted or foreign packet.
-              ++self->wave_errors_;
-              return;
-            }
-            auto payload =
-                arch::DeserializeVector(delivery.packet.inline_payload);
-            if (!payload.ok()) {
-              ++self->wave_errors_;
-              return;
-            }
-            self->DeliverInput(node_order[node_index], *payload);
-          });
+      exec->noc_->SetDeliverySink({x, y}, exec.get());
     }
   }
   return exec;
@@ -75,6 +56,21 @@ DataflowExecutor::DataflowExecutor(const ExecutorParams& params,
     : params_(params),
       graph_(std::move(graph)),
       placement_(std::move(placement)) {}
+
+void DataflowExecutor::OnDelivery(noc::Delivery&& delivery) {
+  const std::size_t node_index = delivery.packet.stream_id;
+  if (node_index >= node_order_.size()) {
+    // An index past the graph means a corrupted or foreign packet.
+    ++wave_errors_;
+    return;
+  }
+  auto payload = arch::DeserializeVector(delivery.packet.inline_payload);
+  if (!payload.ok()) {
+    ++wave_errors_;
+    return;
+  }
+  DeliverInput(node_order_[node_index], *payload);
+}
 
 Expected<std::map<std::string, std::vector<double>>>
 DataflowExecutor::RunWave(
@@ -145,19 +141,15 @@ void DataflowExecutor::FireNode(const std::string& node) {
     sink_outputs_[node] = std::move(output.value());
     return;
   }
-  // Emit to every successor after the node's processing latency. The graph
-  // validated as a DAG at Create() time, so the topological order exists.
-  auto order = graph_.TopologicalOrder();
-  CIM_CHECK(order.ok());
-  const std::vector<std::string>& node_order = *order;
+  // Emit to every successor after the node's processing latency.
   for (const std::string& succ : successors) {
-    std::size_t succ_index = node_order.size();
-    for (std::size_t i = 0; i < node_order.size(); ++i) {
-      if (node_order[i] == succ) succ_index = i;
+    std::size_t succ_index = node_order_.size();
+    for (std::size_t i = 0; i < node_order_.size(); ++i) {
+      if (node_order_[i] == succ) succ_index = i;
     }
     // A successor missing from the topological order would previously fall
     // back to index 0 and silently misroute its payload.
-    CIM_CHECK(succ_index < node_order.size());
+    CIM_CHECK(succ_index < node_order_.size());
     noc::Packet packet;
     packet.id = next_packet_id_++;
     packet.stream_id = succ_index;

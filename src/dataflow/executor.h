@@ -24,7 +24,8 @@ struct ExecutorParams {
   arch::MicroUnitParams micro_unit;
 };
 
-class DataflowExecutor {
+// The executor is the NoC receiver on every tile node.
+class DataflowExecutor final : public noc::DeliverySink {
  public:
   // Places programs (and MVM weights) onto per-node micro-units.
   [[nodiscard]] static Expected<std::unique_ptr<DataflowExecutor>> Create(
@@ -47,6 +48,12 @@ class DataflowExecutor {
   // Fault hook: fail the micro-unit of a node (its wave output is lost).
   Status FailNode(const std::string& name);
 
+  // noc::DeliverySink: an edge payload arrives at its successor node. A
+  // dropped payload is counted in noc_telemetry() only; its successor never
+  // fires, so the sinks below it are missing from the wave result.
+  void OnDelivery(noc::Delivery&& delivery) override;
+  void OnDrop(const noc::Packet&, noc::DropReason) override {}
+
  private:
   DataflowExecutor(const ExecutorParams& params, DataflowGraph graph,
                    Placement placement);
@@ -65,6 +72,9 @@ class DataflowExecutor {
   ExecutorParams params_;
   DataflowGraph graph_;
   Placement placement_;
+  // Graph nodes in topological order; an edge packet's stream_id is its
+  // destination node's index here.
+  std::vector<std::string> node_order_;
   EventQueue queue_;
   std::unique_ptr<noc::MeshNoc> noc_;
   std::map<std::string, NodeState> states_;

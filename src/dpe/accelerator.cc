@@ -602,14 +602,13 @@ DpeAccelerator::RecoverAtBoundary() {
         tile.ft->drained_guard_failures = failures;
       }
     }
-    if (params_.fault_tolerance.proactive_retirement) {
-      const reliability::MonitorReport report = monitor_->Evaluate();
-      for (std::uint32_t unit : report.newly_retired) {
-        for (MappedMvmLayer& layer : mvm_layers_) {
-          for (EngineTile& tile : layer.tiles) {
-            if (tile.unit_id == unit) {
-              tile.ft->needs_remap.store(true, std::memory_order_release);
-            }
+    // Remap the tiles the monitor retires before they fail.
+    const reliability::MonitorReport report = monitor_->Evaluate();
+    for (std::uint32_t unit : report.newly_retired) {
+      for (MappedMvmLayer& layer : mvm_layers_) {
+        for (EngineTile& tile : layer.tiles) {
+          if (tile.unit_id == unit) {
+            tile.ft->needs_remap.store(true, std::memory_order_release);
           }
         }
       }

@@ -35,19 +35,12 @@ NodeId MeshNoc::Neighbor(NodeId n, Direction dir) {
   return n;
 }
 
-void MeshNoc::SetDeliveryHandler(NodeId node, DeliveryHandler handler) {
-  // Wiring a handler to a node outside the mesh was silently ignored, which
-  // turned topology bugs into "handler never fires" mysteries.
-  CIM_CHECK(InBounds(node));
-  nodes_[NodeIndex(node)].handler = std::move(handler);
-}
-
 void MeshNoc::SetDeliverySink(NodeId node, DeliverySink* sink) {
   CIM_CHECK(InBounds(node));
   nodes_[NodeIndex(node)].sink = sink;
 }
 
-Status MeshNoc::AdmitPacket(Packet& packet) {
+Status MeshNoc::Inject(Packet packet) {
   if (!InBounds(packet.source) || !InBounds(packet.destination)) {
     return InvalidArgument("packet endpoints outside mesh");
   }
@@ -79,11 +72,6 @@ Status MeshNoc::AdmitPacket(Packet& packet) {
       }
     }
   }
-  return Status::Ok();
-}
-
-Status MeshNoc::Inject(Packet packet) {
-  if (Status s = AdmitPacket(packet); !s.ok()) return s;
   if (params_.path == NocPath::kFlat) {
     const NodeId source = packet.source;
     const std::uint32_t idx = AllocFlight(std::move(packet), source, 0);
@@ -96,66 +84,18 @@ Status MeshNoc::Inject(Packet packet) {
   return Status::Ok();
 }
 
-Status MeshNoc::InjectBurst(std::span<Packet> packets) {
-  queue_->Reserve(packets.size());
-  if (params_.path == NocPath::kFlat) {
-    // Batched event insertion: admitted packets go straight into flight
-    // slots and one tagged event covers the whole burst. Its dispatch
-    // replays the staged arrivals in injection order at the injection
-    // timestamp — the same processing order, times and decisions as N
-    // individual arrival events, for one heap entry instead of N.
-    if (flight_free_.size() < packets.size()) {
-      flights_.reserve(flights_.size() + packets.size() - flight_free_.size());
-    }
-    burst_staged_.reserve(burst_staged_.size() + packets.size());
-    Status first = Status::Ok();
-    std::uint64_t staged = 0;
-    if (!any_failure_) {
-      // Healthy fast loop: AdmitPacket's fault probes are vacuous and its
-      // status is always Ok here, so admission reduces to the bounds
-      // checks, one shared timestamp and a bulk telemetry add.
-      const TimeNs now = queue_->now();
-      for (Packet& packet : packets) {
-        if (!InBounds(packet.source) || !InBounds(packet.destination)) {
-          if (first.ok()) first = InvalidArgument("packet endpoints outside mesh");
-          continue;
-        }
-        packet.injected_at = now;
-        const NodeId source = packet.source;
-        burst_staged_.push_back(AllocFlight(std::move(packet), source, 0));
-        ++staged;
-      }
-      telemetry_.injected += staged;
-    } else {
-      for (Packet& packet : packets) {
-        if (Status s = AdmitPacket(packet); !s.ok()) {
-          if (first.ok()) first = std::move(s);
-          continue;
-        }
-        const NodeId source = packet.source;
-        burst_staged_.push_back(AllocFlight(std::move(packet), source, 0));
-        ++staged;
-      }
-    }
-    if (staged > 0) {
-      queue_->ScheduleTagAfter(TimeNs(0.0), this, kTagBurstBit | staged);
-    }
-    return first;
-  }
-  Status first = Status::Ok();
-  for (Packet& packet : packets) {
-    Status s = Inject(std::move(packet));
-    if (!s.ok() && first.ok()) first = std::move(s);
-  }
-  return first;
-}
-
 Status MeshNoc::InjectBurst(std::vector<Packet>&& packets) {
   if (params_.path != NocPath::kFlat || any_failure_) {
-    // Per-packet admission covers the fault probes and the reference
-    // path's closure scheduling; zero-copy staging only pays — and is only
-    // decision-equivalent without re-probing — on the healthy flat path.
-    return InjectBurst(std::span<Packet>(packets));
+    // The fault probes and the reference path's closure scheduling are
+    // per-packet; skipping the probes is only decision-equivalent on the
+    // healthy flat path. Each Inject schedules its own arrival event, in
+    // buffer order, so the result is by construction that of N calls.
+    Status first = Status::Ok();
+    for (Packet& packet : packets) {
+      Status s = Inject(std::move(packet));
+      if (!s.ok() && first.ok()) first = std::move(s);
+    }
+    return first;
   }
   const TimeNs now = queue_->now();
   std::uint64_t admitted = 0;
@@ -263,15 +203,14 @@ Expected<Direction> MeshNoc::NextHop(NodeId at, NodeId dst,
 }
 
 void MeshNoc::Drop(const Packet& packet, DropReason reason) {
-  // Counted unconditionally, before any handler check: a missing handler
-  // must never make telemetry lie about conservation.
+  // Counted unconditionally, before the sink check: a missing sink must
+  // never make telemetry lie about conservation. Only admitted packets are
+  // dropped, so the destination is in bounds.
   ++telemetry_.dropped;
-  if (InBounds(packet.destination)) {
-    if (DeliverySink* sink = nodes_[NodeIndex(packet.destination)].sink) {
-      sink->OnDrop(packet, reason);
-    }
+  CIM_DCHECK(InBounds(packet.destination));
+  if (DeliverySink* sink = nodes_[NodeIndex(packet.destination)].sink) {
+    sink->OnDrop(packet, reason);
   }
-  if (on_drop_) on_drop_(packet, reason);
 }
 
 void MeshNoc::Deliver(Packet&& packet, int hops) {
@@ -284,8 +223,6 @@ void MeshNoc::Deliver(Packet&& packet, int hops) {
   const Node& dst = nodes_[NodeIndex(packet.destination)];
   if (dst.sink != nullptr) {
     dst.sink->OnDelivery(Delivery{std::move(packet), queue_->now(), hops});
-  } else if (dst.handler) {
-    dst.handler(Delivery{std::move(packet), queue_->now(), hops});
   }
 }
 
@@ -420,19 +357,6 @@ void MeshNoc::OnTagEvent(std::uint64_t tag) {
       if (!InBounds(packet.source) || !InBounds(packet.destination)) continue;
       const NodeId source = packet.source;
       FlatArrive(AllocFlight(std::move(packet), source, 0));
-    }
-  } else if ((tag & kTagBurstBit) != 0) {
-    // One burst event stands in for `count` individual arrival events;
-    // staged flights replay in injection (FIFO) order. Bursts are consumed
-    // in schedule order, so the cursor always points at this burst's first
-    // flight even when several bursts are pending.
-    const std::uint64_t count = tag & ~kTagBurstBit;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      FlatArrive(burst_staged_[burst_cursor_++]);
-    }
-    if (burst_cursor_ == burst_staged_.size()) {
-      burst_staged_.clear();
-      burst_cursor_ = 0;
     }
   } else {
     FlatArrive(static_cast<std::uint32_t>(tag));

@@ -8,6 +8,11 @@
 // failed and restored at runtime — the basis of the §IV.B failover and §V.A
 // stream-redirection experiments.
 //
+// One way in, one way out. Packets enter through Inject (one packet) or
+// InjectBurst (a whole buffer handed over by an epoch-barrier producer), and
+// leave through the DeliverySink registered on the destination node, which
+// sees every delivery and every drop addressed to that node.
+//
 // Two injection-path implementations share the routing, arbitration and
 // telemetry logic (NocPath below): the reference path carries each Packet
 // through per-hop closures, the flat path carries a 32-bit index into a
@@ -19,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -78,12 +82,10 @@ enum class DropReason : std::uint8_t {
   kNodeFailed,      // destination node marked failed
 };
 
-// Allocation-free receiver for fabric-scale consumers: one object serves
-// many nodes and decodes the packet itself, instead of binding a
-// std::function per node. When both a sink and a handler are registered for
-// a node, the sink wins. OnDrop is routed to the *destination* node's sink
-// (the consumer that was waiting for the packet), for drops anywhere along
-// the route.
+// The mesh's only receiver interface. One object may serve many nodes and
+// decodes each packet itself. OnDrop goes to the sink of the packet's
+// *destination* node (the consumer that was waiting for it), wherever along
+// the route the packet was lost.
 class DeliverySink {
  public:
   virtual void OnDelivery(Delivery&& delivery) = 0;
@@ -106,20 +108,17 @@ struct NocTelemetry {
 
 class MeshNoc : public EventQueue::TagHandler {
  public:
-  using DeliveryHandler = std::function<void(const Delivery&)>;
-  using DropHandler = std::function<void(const Packet&, DropReason)>;
-
   [[nodiscard]] static Expected<MeshNoc> Create(const MeshParams& params,
                                                 EventQueue* queue);
 
   [[nodiscard]] const MeshParams& params() const { return params_; }
 
-  // Receiver registration. A node without a handler or sink silently
-  // consumes. The sink must outlive the mesh (raw pointer; pass nullptr to
-  // unregister).
-  void SetDeliveryHandler(NodeId node, DeliveryHandler handler);
+  // Receiver registration: `sink` gets every delivery to and every drop
+  // addressed to `node`. A node without a sink silently consumes. The mesh
+  // holds a raw pointer: the sink must stay alive while events that can
+  // reach it run (an owner such as arch::Fabric may own the mesh it
+  // serves). Pass nullptr to unregister.
   void SetDeliverySink(NodeId node, DeliverySink* sink);
-  void SetDropHandler(DropHandler handler) { on_drop_ = std::move(handler); }
 
   // Inject a packet at its source at the current simulated time. Faults
   // detectable at the source are reported immediately:
@@ -131,28 +130,20 @@ class MeshNoc : public EventQueue::TagHandler {
   //                                  injected == delivered + dropped holds
   //   no usable link at source    -> kFailedPrecondition; counted injected
   //                                  AND dropped (DropReason::kUnroutable)
-  // Faults that develop mid-route surface through the drop handler/sink
-  // only. Every drop is counted in NocTelemetry whether or not a handler is
+  // Faults that develop mid-route surface through the destination's sink
+  // only. Every drop is counted in NocTelemetry whether or not a sink is
   // registered.
   [[nodiscard]] Status Inject(Packet packet);
 
-  // Batched injection for epoch-barrier producers: reserves event-heap and
-  // flight-pool space once, then injects in span order (packets are
-  // consumed). On the flat path the whole burst is staged into flight slots
-  // behind a single tagged event whose dispatch replays the arrivals in
-  // injection order — identical processing order/times/decisions to N
-  // per-packet events at a fraction of the insertion cost. Per-packet drops
-  // are individually accounted as in Inject; the first non-ok status is
-  // returned after the whole span is processed.
-  [[nodiscard]] Status InjectBurst(std::span<Packet> packets);
-
-  // Zero-copy burst: takes the caller's buffer wholesale. On the healthy
-  // flat path admission is just bounds checks + timestamps — packets move
-  // into flight slots at dispatch, not at injection — so the injection
-  // path is O(n) validation plus one event for the whole burst. Faulted
-  // meshes and the reference path fall back to the span overload.
-  // Epoch-barrier producers that mint a fresh packet vector per exchange
-  // (fabric::FabricCoSim) should prefer this form.
+  // Batched injection that takes the caller's buffer wholesale, for
+  // epoch-barrier producers that mint a fresh packet vector per exchange
+  // (fabric::FabricCoSim). Equivalent to calling Inject on each packet in
+  // buffer order: the same statuses (the first non-ok one is returned after
+  // the whole buffer is processed), drops, event order, times and
+  // telemetry. On the healthy flat path admission is just bounds checks and
+  // timestamps, and one tagged event moves the packets into flight slots at
+  // dispatch, so injection never copies them. A faulted mesh or the
+  // reference path calls Inject per packet.
   [[nodiscard]] Status InjectBurst(std::vector<Packet>&& packets);
 
   // Fault hooks: fail/restore a node or one directed link.
@@ -182,7 +173,6 @@ class MeshNoc : public EventQueue::TagHandler {
   };
   struct Node {
     bool failed = false;
-    DeliveryHandler handler;
     DeliverySink* sink = nullptr;
   };
 
@@ -202,11 +192,9 @@ class MeshNoc : public EventQueue::TagHandler {
     std::array<std::size_t, kQosClassCount> head{};
   };
   // Tag encoding for EventQueue::TagHandler dispatch: drain events set the
-  // top bit and carry the link index; staged-burst events set bit 62 and
-  // carry the staged-arrival count; owned-burst events set bit 61 (bursts
+  // top bit and carry the link index; owned-burst events set bit 61 (bursts
   // are consumed FIFO); bare tags are single-flight arrival slots.
   static constexpr std::uint64_t kTagDrainBit = 1ULL << 63;
-  static constexpr std::uint64_t kTagBurstBit = 1ULL << 62;
   static constexpr std::uint64_t kTagOwnedBurstBit = 1ULL << 61;
 
   MeshNoc(const MeshParams& params, EventQueue* queue);
@@ -236,9 +224,6 @@ class MeshNoc : public EventQueue::TagHandler {
   void Deliver(Packet&& packet, int hops);
   void Drop(const Packet& packet, DropReason reason);
   RunningStat& StreamSlot(std::uint64_t stream);
-  // Validation + injected/drop accounting shared by Inject and InjectBurst;
-  // on Ok the packet is stamped, counted and cleared to enter the network.
-  [[nodiscard]] Status AdmitPacket(Packet& packet);
   void RecomputeAnyFailure();
 
   // Reference path.
@@ -263,16 +248,12 @@ class MeshNoc : public EventQueue::TagHandler {
   std::vector<FlatLink> flat_links_;
   std::vector<Flight> flights_;
   std::vector<std::uint32_t> flight_free_;
-  // Flights staged by InjectBurst, consumed FIFO by their burst tag event.
-  std::vector<std::uint32_t> burst_staged_;
-  std::size_t burst_cursor_ = 0;
   // Whole buffers handed over by the owned InjectBurst, consumed FIFO.
   std::vector<std::vector<Packet>> owned_bursts_;
   std::size_t owned_cursor_ = 0;
   // True iff any node or link is currently failed; lets the healthy
-  // injection path skip its fault probes (see AdmitPacket).
+  // injection path skip its fault probes (see Inject).
   bool any_failure_ = false;
-  DropHandler on_drop_;
   NocTelemetry telemetry_;
   // Sorted by stream id (binary-search insert): deterministic iteration,
   // nothing for the unordered-iteration lint rule to flag.

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/event_queue.h"
+#include "callback_sink.h"
 #include "common/rng.h"
 #include "noc/mesh.h"
 
@@ -48,9 +49,8 @@ TEST(MeshNocTest, DeliversPacketToDestination) {
   auto noc = MeshNoc::Create(SmallMesh(), &queue);
   ASSERT_TRUE(noc.ok());
   std::vector<Delivery> deliveries;
-  noc->SetDeliveryHandler({3, 3}, [&](const Delivery& d) {
-    deliveries.push_back(d);
-  });
+  CallbackSink sink([&](const Delivery& d) { deliveries.push_back(d); });
+  noc->SetDeliverySink({3, 3}, &sink);
   ASSERT_TRUE(noc->Inject(MakePacket(1, {0, 0}, {3, 3})).ok());
   queue.Run();
   ASSERT_EQ(deliveries.size(), 1u);
@@ -65,7 +65,8 @@ TEST(MeshNocTest, SelfDeliveryHasZeroHops) {
   auto noc = MeshNoc::Create(SmallMesh(), &queue);
   ASSERT_TRUE(noc.ok());
   int hops = -1;
-  noc->SetDeliveryHandler({1, 1}, [&](const Delivery& d) { hops = d.hops; });
+  CallbackSink sink([&](const Delivery& d) { hops = d.hops; });
+  noc->SetDeliverySink({1, 1}, &sink);
   ASSERT_TRUE(noc->Inject(MakePacket(1, {1, 1}, {1, 1})).ok());
   queue.Run();
   EXPECT_EQ(hops, 0);
@@ -84,12 +85,14 @@ TEST(MeshNocTest, LatencyGrowsWithDistance) {
   auto noc = MeshNoc::Create(SmallMesh(8, 8), &queue);
   ASSERT_TRUE(noc.ok());
   TimeNs near_latency{0.0}, far_latency{0.0};
-  noc->SetDeliveryHandler({1, 0}, [&](const Delivery& d) {
+  CallbackSink near_sink([&](const Delivery& d) {
     near_latency = d.delivered_at - d.packet.injected_at;
   });
-  noc->SetDeliveryHandler({7, 7}, [&](const Delivery& d) {
+  CallbackSink far_sink([&](const Delivery& d) {
     far_latency = d.delivered_at - d.packet.injected_at;
   });
+  noc->SetDeliverySink({1, 0}, &near_sink);
+  noc->SetDeliverySink({7, 7}, &far_sink);
   ASSERT_TRUE(noc->Inject(MakePacket(1, {0, 0}, {1, 0})).ok());
   ASSERT_TRUE(noc->Inject(MakePacket(2, {0, 0}, {7, 7})).ok());
   queue.Run();
@@ -103,9 +106,9 @@ TEST(MeshNocTest, ContentionSerializesOnSharedLink) {
   auto noc = MeshNoc::Create(params, &queue);
   ASSERT_TRUE(noc.ok());
   std::vector<TimeNs> arrivals;
-  noc->SetDeliveryHandler({1, 0}, [&](const Delivery& d) {
-    arrivals.push_back(d.delivered_at);
-  });
+  CallbackSink sink(
+      [&](const Delivery& d) { arrivals.push_back(d.delivered_at); });
+  noc->SetDeliverySink({1, 0}, &sink);
   // Two 1000-byte packets over the same link back to back.
   ASSERT_TRUE(noc->Inject(MakePacket(1, {0, 0}, {1, 0}, 1000)).ok());
   ASSERT_TRUE(noc->Inject(MakePacket(2, {0, 0}, {1, 0}, 1000)).ok());
@@ -122,9 +125,8 @@ TEST(MeshNocTest, HigherPriorityClassWinsArbitration) {
   auto noc = MeshNoc::Create(params, &queue);
   ASSERT_TRUE(noc.ok());
   std::vector<std::uint64_t> order;
-  noc->SetDeliveryHandler({1, 0}, [&](const Delivery& d) {
-    order.push_back(d.packet.id);
-  });
+  CallbackSink sink([&](const Delivery& d) { order.push_back(d.packet.id); });
+  noc->SetDeliverySink({1, 0}, &sink);
   // Fill the link with bulk traffic, then inject a control packet.
   ASSERT_TRUE(
       noc->Inject(MakePacket(1, {0, 0}, {1, 0}, 500, QosClass::kBulk)).ok());
@@ -150,7 +152,8 @@ TEST(MeshNocTest, FailedLinkTriggersDetour) {
   auto noc = MeshNoc::Create(SmallMesh(), &queue);
   ASSERT_TRUE(noc.ok());
   int delivered = 0;
-  noc->SetDeliveryHandler({2, 0}, [&](const Delivery&) { ++delivered; });
+  CallbackSink sink([&](const Delivery&) { ++delivered; });
+  noc->SetDeliverySink({2, 0}, &sink);
   ASSERT_TRUE(noc->SetLinkFailed({1, 0}, Direction::kEast, true).ok());
   ASSERT_TRUE(noc->Inject(MakePacket(1, {0, 0}, {2, 0})).ok());
   queue.Run();
@@ -164,10 +167,11 @@ TEST(MeshNocTest, FailedDestinationDropsPacket) {
   ASSERT_TRUE(noc.ok());
   DropReason reason{};
   int drops = 0;
-  noc->SetDropHandler([&](const Packet&, DropReason r) {
+  CallbackSink sink(nullptr, [&](const Packet&, DropReason r) {
     reason = r;
     ++drops;
   });
+  noc->SetDeliverySink({2, 2}, &sink);
   ASSERT_TRUE(noc->SetNodeFailed({2, 2}, true).ok());
   // A dead destination is detectable at injection time: the packet is
   // counted (injected + dropped) and the caller learns immediately.
@@ -195,10 +199,11 @@ TEST(MeshNocTest, FullyCutRegionDropsAsUnroutable) {
   ASSERT_TRUE(noc.ok());
   int drops = 0;
   DropReason reason{};
-  noc->SetDropHandler([&](const Packet&, DropReason r) {
+  CallbackSink sink(nullptr, [&](const Packet&, DropReason r) {
     ++drops;
     reason = r;
   });
+  noc->SetDeliverySink({1, 0}, &sink);
   // The only link east is failed and there is no second dimension to turn
   // into (1-row mesh).
   ASSERT_TRUE(noc->SetLinkFailed({0, 0}, Direction::kEast, true).ok());
@@ -218,7 +223,8 @@ TEST(MeshNocTest, LinkRestoredAfterFailure) {
   auto noc = MeshNoc::Create(SmallMesh(2, 1), &queue);
   ASSERT_TRUE(noc.ok());
   int delivered = 0;
-  noc->SetDeliveryHandler({1, 0}, [&](const Delivery&) { ++delivered; });
+  CallbackSink sink([&](const Delivery&) { ++delivered; });
+  noc->SetDeliverySink({1, 0}, &sink);
   ASSERT_TRUE(noc->SetLinkFailed({0, 0}, Direction::kEast, true).ok());
   ASSERT_TRUE(noc->SetLinkFailed({0, 0}, Direction::kEast, false).ok());
   ASSERT_TRUE(noc->Inject(MakePacket(1, {0, 0}, {1, 0})).ok());
@@ -270,12 +276,9 @@ TEST_P(NocDeliveryProperty, AllPacketsDeliveredExactlyOnce) {
   auto noc = MeshNoc::Create(SmallMesh(5, 5), &queue);
   ASSERT_TRUE(noc.ok());
   std::vector<int> delivered_by_id(packet_count + 1, 0);
+  CallbackSink sink([&](const Delivery& d) { ++delivered_by_id[d.packet.id]; });
   for (std::uint16_t x = 0; x < 5; ++x) {
-    for (std::uint16_t y = 0; y < 5; ++y) {
-      noc->SetDeliveryHandler({x, y}, [&](const Delivery& d) {
-        ++delivered_by_id[d.packet.id];
-      });
-    }
+    for (std::uint16_t y = 0; y < 5; ++y) noc->SetDeliverySink({x, y}, &sink);
   }
   cim::Rng rng(7 + packet_count);
   for (int i = 1; i <= packet_count; ++i) {
@@ -314,13 +317,12 @@ TEST(MeshNocTest, OwnedBurstMatchesPerPacketInjection) {
     params.path = path;
     auto noc = MeshNoc::Create(params, &queue);
     Outcome out;
+    CallbackSink sink([&out](const Delivery& d) {
+      out.ids.push_back(d.packet.id);
+      out.times.push_back(d.delivered_at.ns);
+    });
     for (std::uint16_t x = 0; x < 4; ++x) {
-      for (std::uint16_t y = 0; y < 4; ++y) {
-        noc->SetDeliveryHandler({x, y}, [&out](const Delivery& d) {
-          out.ids.push_back(d.packet.id);
-          out.times.push_back(d.delivered_at.ns);
-        });
-      }
+      for (std::uint16_t y = 0; y < 4; ++y) noc->SetDeliverySink({x, y}, &sink);
     }
     std::vector<Packet> burst;
     Rng rng(41);
@@ -351,6 +353,92 @@ TEST(MeshNocTest, OwnedBurstMatchesPerPacketInjection) {
     EXPECT_EQ(flat_single.times, other->times);
     EXPECT_EQ(flat_single.injected, other->injected);
     EXPECT_EQ(flat_single.delivered, other->delivered);
+  }
+}
+
+// The same equivalence on a faulted mesh, where the owned burst takes the
+// per-packet admission path: a failed link on some routes, a failed
+// destination node and one out-of-bounds packet. Deliveries, drops (ids and
+// reasons, in order), the first non-ok status and telemetry must all match
+// per-packet Inject, on both paths.
+TEST(MeshNocTest, OwnedBurstMatchesPerPacketInjectionUnderFaults) {
+  struct Outcome {
+    std::vector<std::uint64_t> ids;
+    std::vector<double> times;
+    std::vector<std::uint64_t> drop_ids;
+    std::vector<DropReason> drop_reasons;
+    ErrorCode first_error = ErrorCode::kOk;
+    std::uint64_t injected = 0, delivered = 0, dropped = 0, rerouted = 0;
+  };
+  const auto run = [](NocPath path, bool owned_burst) {
+    EventQueue queue;
+    MeshParams params = SmallMesh();
+    params.path = path;
+    auto noc = MeshNoc::Create(params, &queue);
+    Outcome out;
+    CallbackSink sink(
+        [&out](const Delivery& d) {
+          out.ids.push_back(d.packet.id);
+          out.times.push_back(d.delivered_at.ns);
+        },
+        [&out](const Packet& p, DropReason r) {
+          out.drop_ids.push_back(p.id);
+          out.drop_reasons.push_back(r);
+        });
+    for (std::uint16_t x = 0; x < 4; ++x) {
+      for (std::uint16_t y = 0; y < 4; ++y) noc->SetDeliverySink({x, y}, &sink);
+    }
+    EXPECT_TRUE(noc->SetLinkFailed({1, 0}, Direction::kEast, true).ok());
+    EXPECT_TRUE(noc->SetLinkFailed({1, 2}, Direction::kEast, true).ok());
+    EXPECT_TRUE(noc->SetNodeFailed({3, 3}, true).ok());
+    std::vector<Packet> burst;
+    Rng rng(43);
+    for (std::uint64_t i = 1; i <= 40; ++i) {
+      const NodeId src{static_cast<std::uint16_t>(rng.NextBounded(3)),
+                       static_cast<std::uint16_t>(rng.NextBounded(3))};
+      const NodeId dst{static_cast<std::uint16_t>(rng.NextBounded(4)),
+                       static_cast<std::uint16_t>(rng.NextBounded(4))};
+      burst.push_back(MakePacket(i, src, dst));
+    }
+    burst[5].destination = {3, 3};   // failed node: dropped at admission
+    burst[20].destination = {9, 1};  // outside the mesh: never counted
+    Status first = Status::Ok();
+    if (owned_burst) {
+      first = noc->InjectBurst(std::move(burst));
+    } else {
+      for (Packet& p : burst) {
+        Status s = noc->Inject(std::move(p));
+        if (!s.ok() && first.ok()) first = std::move(s);
+      }
+    }
+    out.first_error = first.code();
+    queue.Run();
+    out.injected = noc->telemetry().injected;
+    out.delivered = noc->telemetry().delivered;
+    out.dropped = noc->telemetry().dropped;
+    out.rerouted = noc->telemetry().rerouted_hops;
+    return out;
+  };
+  const Outcome flat_single = run(NocPath::kFlat, false);
+  // The faults are on the traffic's routes.
+  EXPECT_EQ(flat_single.first_error, ErrorCode::kUnavailable);
+  EXPECT_EQ(flat_single.injected, 39u);
+  EXPECT_GT(flat_single.delivered, 0u);
+  EXPECT_GT(flat_single.dropped, 0u);
+  EXPECT_GT(flat_single.rerouted, 0u);
+  const Outcome flat_owned = run(NocPath::kFlat, true);
+  const Outcome ref_single = run(NocPath::kReference, false);
+  const Outcome ref_owned = run(NocPath::kReference, true);
+  for (const Outcome* other : {&flat_owned, &ref_single, &ref_owned}) {
+    EXPECT_EQ(flat_single.ids, other->ids);
+    EXPECT_EQ(flat_single.times, other->times);
+    EXPECT_EQ(flat_single.drop_ids, other->drop_ids);
+    EXPECT_EQ(flat_single.drop_reasons, other->drop_reasons);
+    EXPECT_EQ(flat_single.first_error, other->first_error);
+    EXPECT_EQ(flat_single.injected, other->injected);
+    EXPECT_EQ(flat_single.delivered, other->delivered);
+    EXPECT_EQ(flat_single.dropped, other->dropped);
+    EXPECT_EQ(flat_single.rerouted, other->rerouted);
   }
 }
 

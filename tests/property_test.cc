@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "callback_sink.h"
 #include "common/event_queue.h"
 #include "common/rng.h"
 #include "dataflow/graph.h"
@@ -125,12 +126,10 @@ TEST_P(NocFaultProperty, DeliveredPlusDroppedEqualsInjectedNoDuplicates) {
   ASSERT_TRUE(mesh.ok());
 
   std::map<std::uint64_t, int> deliveries;
+  noc::CallbackSink sink(
+      [&](const noc::Delivery& d) { ++deliveries[d.packet.id]; });
   for (std::uint16_t x = 0; x < 5; ++x) {
-    for (std::uint16_t y = 0; y < 5; ++y) {
-      mesh->SetDeliveryHandler({x, y}, [&](const noc::Delivery& d) {
-        ++deliveries[d.packet.id];
-      });
-    }
+    for (std::uint16_t y = 0; y < 5; ++y) mesh->SetDeliverySink({x, y}, &sink);
   }
   // Random link faults.
   for (int f = 0; f < fault_count; ++f) {
