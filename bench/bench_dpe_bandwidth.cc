@@ -6,7 +6,7 @@
 // interface; on the DPE every resident crossbar re-reads its whole array
 // each analog cycle, so the effective rate scales with array count. The
 // engines iterate as one polymorphic list; the DPE's in-array touch rate
-// (which EngineCost.dram_bytes deliberately excludes — resident weights
+// (which CostReport::bytes_moved deliberately excludes — resident weights
 // never cross the memory interface) comes from the adapter's underlying
 // analytical model.
 #include <cstdio>
@@ -50,8 +50,8 @@ int main() {
       if (!cost.ok()) { ok = false; break; }
       // Von Neumann bandwidth floor: even cache-resident runs re-read
       // weights through the datapath at the compute rate, so use the larger
-      // of the memory-interface rate and weights/latency.
-      bw[e] = std::max(cost->weight_bandwidth_gbps(),
+      // of the memory-interface rate and weights/latency (bytes/ns = GB/s).
+      bw[e] = std::max(cost->bytes_moved / cost->latency_ns,
                        weight_bytes / cost->latency_ns);
     }
     if (!ok) continue;

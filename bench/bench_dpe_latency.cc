@@ -4,7 +4,7 @@
 // Sweeps the benchmark network suite (tiny MLP to cache-busting MLP to
 // CNNs) and prints batch-1 inference latency for every ComputeEngine in one
 // polymorphic list — CPU, GPU, near-memory PIM and the DPE all speak the
-// same EngineCost currency — plus ratios against the DPE. The paper's range
+// same CostReport currency — plus ratios against the DPE. The paper's range
 // emerges from the size sweep: small models give ~single-digit wins, large
 // ones give 1e2..1e4.
 #include <cstdio>

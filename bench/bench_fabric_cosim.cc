@@ -12,7 +12,10 @@
 //                 strength in smoke mode too (nothing depends on wall
 //                 time) and exits 1 on any divergence.
 //   speedup       wall-clock serial / threaded co-simulation time must be
-//                 >= 3x (full mode only). The gate arms on measured
+//                 >= 3x (full mode only), each leg timed best of three
+//                 runs (one serial run's wall time is bimodal on a shared
+//                 host, so a single sample decides the gate by chance;
+//                 the JSON records every sample). The gate arms on measured
 //                 parallelism, not on the thread count: a CPU-bound,
 //                 allocation-free calibration ParallelFor on a pool of the
 //                 same width runs first, and only when it reaches >= 3x
@@ -402,11 +405,26 @@ int main(int argc, char** argv) {
           : 0.0;
 
   // --- wall-clock gates (full mode only) ----------------------------------
+  // Each co-sim leg is timed best of cosim_reps alternating runs; the
+  // bit-identity gate above judged the first pair.
+  const std::size_t cosim_reps = smoke ? 1 : 3;
+  std::vector<double> serial_wall_s{serial.wall_s};
+  std::vector<double> threaded_wall_s{threaded.wall_s};
+  for (std::size_t rep = 1; rep < cosim_reps; ++rep) {
+    serial_wall_s.push_back(RunFabric(1, 4, 4, 2, inputs).wall_s);
+    threaded_wall_s.push_back(RunFabric(threads, 4, 4, 2, inputs).wall_s);
+  }
+  const double serial_best =
+      *std::min_element(serial_wall_s.begin(), serial_wall_s.end());
+  const double threaded_best =
+      *std::min_element(threaded_wall_s.begin(), threaded_wall_s.end());
   const double cosim_speedup =
-      threaded.wall_s > 0.0 ? serial.wall_s / threaded.wall_s : 0.0;
+      threaded_best > 0.0 ? serial_best / threaded_best : 0.0;
   if (!smoke) {
-    std::printf("co-sim wall: serial %.3fs, %zu-thread %.3fs (%.2fx)\n",
-                serial.wall_s, threads, threaded.wall_s, cosim_speedup);
+    std::printf("co-sim wall (best of %zu): serial %.3fs, %zu-thread %.3fs "
+                "(%.2fx)\n",
+                cosim_reps, serial_best, threads, threaded_best,
+                cosim_speedup);
     std::printf("injection path: reference %.0f pkt/s, flat %.0f pkt/s "
                 "(%.2fx)\n",
                 ref.inject_pkts_per_s, flat.inject_pkts_per_s,
@@ -479,6 +497,16 @@ int main(int argc, char** argv) {
                    flat.inject_pkts_per_s, injection_speedup,
                    ref.total_pkts_per_s, flat.total_pkts_per_s,
                    noc_e2e_speedup);
+      const auto samples = [out](const char* key,
+                                 const std::vector<double>& wall_s) {
+        std::fprintf(out, ",\n  \"%s\": [", key);
+        for (std::size_t i = 0; i < wall_s.size(); ++i) {
+          std::fprintf(out, "%s%.6f", i == 0 ? "" : ", ", wall_s[i]);
+        }
+        std::fprintf(out, "]");
+      };
+      samples("cosim_serial_wall_s", serial_wall_s);
+      samples("cosim_threaded_wall_s", threaded_wall_s);
     }
     std::fprintf(out, "\n}\n");
     CIM_CHECK(std::fclose(out) == 0);

@@ -1,41 +1,22 @@
 // Common interface for the §VI comparison: the DPE and the von Neumann
 // baselines all estimate the cost of one batch-1 network inference in the
-// same currency (latency, energy, bytes moved across the memory interface).
+// same currency, CostReport: latency, energy, bytes_moved (the bytes that
+// cross the off-chip memory interface) and operations (the MACs).
 #pragma once
 
-#include <cstdint>
 #include <string>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "nn/network.h"
 
 namespace cim::baseline {
 
-struct EngineCost {
-  double latency_ns = 0.0;
-  double energy_pj = 0.0;
-  double dram_bytes = 0.0;  // data crossing the off-chip memory interface
-  std::uint64_t macs = 0;
-
-  // pJ/ns = 1e-12 J / 1e-9 s = 1e-3 W, so the ratio is in milliwatts and
-  // the 1e-3 factor converts to watts. Pinned by baseline_test.cc.
-  [[nodiscard]] double average_power_watts() const {
-    return latency_ns > 0.0 ? energy_pj / latency_ns * 1e-3 : 0.0;
-  }
-  // Effective bandwidth at which the engine touched weights/activations.
-  // bytes/ns = 1e9 bytes/s, so the ratio is already in gigaBYTES per second
-  // (GB/s, not gigabits) — no scale factor needed. Pinned by
-  // baseline_test.cc.
-  [[nodiscard]] double weight_bandwidth_gbps() const {
-    return latency_ns > 0.0 ? dram_bytes / latency_ns : 0.0;
-  }
-};
-
 class ComputeEngine {
  public:
   virtual ~ComputeEngine() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual Expected<EngineCost> EstimateInference(
+  [[nodiscard]] virtual Expected<CostReport> EstimateInference(
       const nn::Network& net) const = 0;
 };
 

@@ -4,7 +4,7 @@
 
 namespace cim::baseline {
 
-Expected<EngineCost> CpuModel::EstimateInference(
+Expected<CostReport> CpuModel::EstimateInference(
     const nn::Network& net) const {
   if (Status s = params_.Validate(); !s.ok()) return s;
   auto profiles = nn::ProfileNetwork(net);
@@ -17,7 +17,7 @@ Expected<EngineCost> CpuModel::EstimateInference(
       static_cast<double>(net.TotalWeights()) * 4.0;  // fp32
   const bool weights_resident = total_weight_bytes <= params_.l3_bytes;
 
-  EngineCost cost;
+  CostReport cost;
   const double effective_flops_per_ns =
       params_.peak_gflops * params_.compute_efficiency;  // flops per ns
 
@@ -39,8 +39,8 @@ Expected<EngineCost> CpuModel::EstimateInference(
         std::max(compute_ns, memory_ns) + params_.layer_overhead_ns;
 
     cost.latency_ns += layer_ns;
-    cost.dram_bytes += dram_bytes;
-    cost.macs += p.macs;
+    cost.bytes_moved += dram_bytes;
+    cost.operations += p.macs;
     cost.energy_pj += flops * params_.energy_per_flop_pj +
                       dram_bytes * params_.dram_energy_per_byte_pj;
     // Pool layers: comparator flops roughly equal to their output count.

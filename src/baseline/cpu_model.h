@@ -43,7 +43,7 @@ class CpuModel final : public ComputeEngine {
   explicit CpuModel(CpuParams params = CpuParams()) : params_(params) {}
 
   [[nodiscard]] std::string name() const override { return params_.name; }
-  [[nodiscard]] Expected<EngineCost> EstimateInference(
+  [[nodiscard]] Expected<CostReport> EstimateInference(
       const nn::Network& net) const override;
 
   [[nodiscard]] const CpuParams& params() const { return params_; }

@@ -4,7 +4,7 @@
 
 namespace cim::baseline {
 
-Expected<EngineCost> GpuModel::EstimateInference(
+Expected<CostReport> GpuModel::EstimateInference(
     const nn::Network& net) const {
   if (Status s = params_.Validate(); !s.ok()) return s;
   auto profiles = nn::ProfileNetwork(net);
@@ -14,7 +14,7 @@ Expected<EngineCost> GpuModel::EstimateInference(
       static_cast<double>(net.TotalWeights()) * 4.0;
   const bool weights_resident = total_weight_bytes <= params_.l2_bytes;
 
-  EngineCost cost;
+  CostReport cost;
   for (const nn::LayerProfile& p : *profiles) {
     const double flops = 2.0 * static_cast<double>(p.macs);
     const double weight_bytes = static_cast<double>(p.weight_count) * 4.0;
@@ -38,8 +38,8 @@ Expected<EngineCost> GpuModel::EstimateInference(
     const double memory_ns = dram_bytes / params_.hbm_bandwidth_gbps;
     cost.latency_ns +=
         std::max(compute_ns, memory_ns) + params_.kernel_launch_ns;
-    cost.dram_bytes += dram_bytes;
-    cost.macs += p.macs;
+    cost.bytes_moved += dram_bytes;
+    cost.operations += p.macs;
     cost.energy_pj += flops * params_.energy_per_flop_pj +
                       dram_bytes * params_.hbm_energy_per_byte_pj;
   }

@@ -37,7 +37,7 @@ class GpuModel final : public ComputeEngine {
   explicit GpuModel(GpuParams params = GpuParams()) : params_(params) {}
 
   [[nodiscard]] std::string name() const override { return params_.name; }
-  [[nodiscard]] Expected<EngineCost> EstimateInference(
+  [[nodiscard]] Expected<CostReport> EstimateInference(
       const nn::Network& net) const override;
 
   [[nodiscard]] const GpuParams& params() const { return params_; }

@@ -4,13 +4,13 @@
 
 namespace cim::baseline {
 
-Expected<EngineCost> PimModel::EstimateInference(
+Expected<CostReport> PimModel::EstimateInference(
     const nn::Network& net) const {
   if (Status s = params_.Validate(); !s.ok()) return s;
   auto profiles = nn::ProfileNetwork(net);
   if (!profiles.ok()) return profiles.status();
 
-  EngineCost cost;
+  CostReport cost;
   const double effective_flops_per_ns =
       params_.peak_gflops * params_.compute_efficiency;  // GFLOP/s == flop/ns
 
@@ -28,11 +28,11 @@ Expected<EngineCost> PimModel::EstimateInference(
         internal_bytes / params_.internal_bandwidth_gbps;
     cost.latency_ns +=
         std::max(compute_ns, memory_ns) + params_.layer_overhead_ns;
-    // Bank-internal traffic never crosses the package: dram_bytes counts
+    // Bank-internal traffic never crosses the package: bytes_moved counts
     // only what leaves the stack (inputs in, outputs out).
-    cost.dram_bytes +=
+    cost.bytes_moved +=
         static_cast<double>(p.in_elements + p.out_elements) * 1.0;
-    cost.macs += p.macs;
+    cost.operations += p.macs;
     cost.energy_pj += flops * params_.energy_per_flop_pj +
                       internal_bytes * params_.internal_energy_per_byte_pj;
   }

@@ -43,7 +43,7 @@ class PimModel final : public ComputeEngine {
   explicit PimModel(PimParams params = PimParams()) : params_(params) {}
 
   [[nodiscard]] std::string name() const override { return params_.name; }
-  [[nodiscard]] Expected<EngineCost> EstimateInference(
+  [[nodiscard]] Expected<CostReport> EstimateInference(
       const nn::Network& net) const override;
 
   [[nodiscard]] const PimParams& params() const { return params_; }

@@ -171,9 +171,9 @@ class DpeAccelerator {
     // hot path never formats strings.
     std::string target;
     std::size_t layer_index = 0;
-    // MVM invocations one inference makes on this layer (1 for dense,
-    // oh*ow pixels for conv) — the stride between batch elements in the
-    // per-tile call numbering.
+    // MVM invocations one inference makes on this layer (the profile's
+    // mvm_calls) — the stride between batch elements in the per-tile call
+    // numbering.
     std::uint64_t calls_per_inference = 1;
     // Calls already consumed by completed Infer/InferBatch requests.
     std::uint64_t committed_calls = 0;
@@ -186,7 +186,8 @@ class DpeAccelerator {
     std::vector<std::pair<std::size_t, std::size_t>> flagged;
   };
 
-  DpeAccelerator(const DpeParams& params, const nn::Network& net);
+  DpeAccelerator(const DpeParams& params, const nn::Network& net,
+                 std::vector<nn::LayerProfile> profiles);
 
   // Split an (in_dim x out_dim) matrix over crossbar-sized engine tiles.
   Status MapMatrix(std::span<const double> matrix, std::size_t in_dim,
@@ -231,6 +232,7 @@ class DpeAccelerator {
 
   DpeParams params_;
   nn::Network net_;
+  std::vector<nn::LayerProfile> profiles_;  // one per layer of net_
   std::vector<MappedMvmLayer> mvm_layers_;  // one per dense/conv layer
   CostReport program_cost_;
   std::size_t arrays_used_ = 0;

@@ -2,15 +2,15 @@
 
 namespace cim::dpe {
 
-Expected<baseline::EngineCost> DpeEngine::EstimateInference(
+Expected<CostReport> DpeEngine::EstimateInference(
     const nn::Network& net) const {
   auto estimate = model_.EstimateInference(net);
   if (!estimate.ok()) return estimate.status();
 
-  baseline::EngineCost cost;
+  CostReport cost;
   cost.latency_ns = estimate->latency_ns;
   cost.energy_pj = estimate->energy_pj;
-  cost.macs = estimate->macs;
+  cost.operations = estimate->macs;
 
   // Only the network input and final output cross the memory interface —
   // weights are resident after programming and every intermediate
@@ -18,7 +18,7 @@ Expected<baseline::EngineCost> DpeEngine::EstimateInference(
   auto profile = nn::ProfileNetwork(net);
   if (!profile.ok()) return profile.status();
   if (!profile->empty()) {
-    cost.dram_bytes = static_cast<double>(profile->front().in_elements +
+    cost.bytes_moved = static_cast<double>(profile->front().in_elements +
                                           profile->back().out_elements);
   }
   return cost;

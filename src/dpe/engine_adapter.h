@@ -3,7 +3,7 @@
 // The §VI comparison benches iterate one polymorphic list of engines (CPU,
 // GPU, PIM, DPE) instead of special-casing the DPE's richer
 // InferenceEstimate. The adapter folds the estimate into the common
-// EngineCost currency; the DPE-only fields (arrays used, programming cost)
+// CostReport currency; the DPE-only fields (arrays used, programming cost)
 // stay available through model() for callers that want them.
 #pragma once
 
@@ -21,11 +21,12 @@ class DpeEngine final : public baseline::ComputeEngine {
 
   [[nodiscard]] std::string name() const override { return "dpe"; }
 
-  // latency/energy/macs map directly. dram_bytes is the input and output
-  // activations only (1 byte each at 8-bit precision): weights are resident
-  // in the arrays after programming and never cross the off-chip memory
-  // interface — the CIM premise the comparison exists to show.
-  [[nodiscard]] Expected<baseline::EngineCost> EstimateInference(
+  // Latency and energy map directly; operations are the MACs. bytes_moved
+  // is the input and output activations only (1 byte each at 8-bit
+  // precision): weights are resident in the arrays after programming and
+  // never cross the off-chip memory interface — the CIM premise the
+  // comparison exists to show.
+  [[nodiscard]] Expected<CostReport> EstimateInference(
       const nn::Network& net) const override;
 
   [[nodiscard]] const AnalyticalDpeModel& model() const { return model_; }

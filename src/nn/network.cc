@@ -1,10 +1,140 @@
 #include "nn/network.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace cim::nn {
 namespace {
+
+// Fixed-rank shape, so walking a network allocates nothing: rank 1 {n} or
+// rank 3 {c, h, w}. Rank 0 marks an input shape no layer accepts.
+struct Shape {
+  std::size_t rank = 0;
+  std::array<std::size_t, 3> dims{};
+
+  [[nodiscard]] std::uint64_t elements() const {
+    std::uint64_t n = 1;
+    for (std::size_t d = 0; d < rank; ++d) n *= dims[d];
+    return n;
+  }
+  [[nodiscard]] std::vector<std::size_t> vec() const {
+    return {dims.begin(), dims.begin() + static_cast<std::ptrdiff_t>(rank)};
+  }
+};
+
+// One layer's geometry: what LayerProfile publishes, minus the vectors.
+struct Step {
+  Shape in;  // after the implicit conv→dense flatten
+  Shape out;
+  std::size_t mvm_rows = 0;
+  std::size_t mvm_cols = 0;
+  std::uint64_t mvm_calls = 0;
+
+  [[nodiscard]] std::uint64_t macs() const {
+    return mvm_calls * mvm_rows * mvm_cols;
+  }
+};
+
+// Output spatial size of a conv/pool stage.
+std::size_t OutDim(std::size_t in, std::size_t kernel, std::size_t stride,
+                   std::size_t padding) {
+  return (in + 2 * padding - kernel) / stride + 1;
+}
+
+std::uint64_t WeightCount(const Layer& layer) {
+  if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
+    return dense->weights.size() + dense->bias.size();
+  }
+  if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
+    return conv->weights.size() + conv->bias.size();
+  }
+  return 0;
+}
+
+// Geometry of one layer on input `in`, or the reason the layer is invalid.
+const char* LayerStep(const Layer& layer, Shape in, Step* step) {
+  // A dense layer after a conv stack implicitly flattens.
+  if (std::holds_alternative<DenseLayer>(layer) && in.rank == 3) {
+    in = Shape{1, {in.elements(), 0, 0}};
+  }
+  constexpr const char* kMismatch = "incompatible with input shape";
+  constexpr const char* kWeights = "weight/bias size mismatch";
+  if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
+    if (in.rank != 1 || in.dims[0] != dense->in_features) return kMismatch;
+    if (dense->weights.size() != dense->in_features * dense->out_features ||
+        dense->bias.size() != dense->out_features) {
+      return kWeights;
+    }
+    *step = {in, Shape{1, {dense->out_features, 0, 0}}, dense->in_features,
+             dense->out_features, 1};
+  } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
+    const std::size_t k = conv->kernel;
+    const std::size_t pad = conv->padding;
+    const std::size_t rows = conv->in_channels * k * k;  // im2col
+    if (k == 0 || conv->stride == 0) return "needs kernel and stride > 0";
+    if (in.rank != 3 || in.dims[0] != conv->in_channels ||
+        in.dims[1] + 2 * pad < k || in.dims[2] + 2 * pad < k) {
+      return kMismatch;
+    }
+    if (conv->weights.size() != rows * conv->out_channels ||
+        conv->bias.size() != conv->out_channels) {
+      return kWeights;
+    }
+    const std::size_t oh = OutDim(in.dims[1], k, conv->stride, pad);
+    const std::size_t ow = OutDim(in.dims[2], k, conv->stride, pad);
+    *step = {in, Shape{3, {conv->out_channels, oh, ow}}, rows,
+             conv->out_channels, static_cast<std::uint64_t>(oh) * ow};
+  } else if (const auto* pool = std::get_if<MaxPoolLayer>(&layer)) {
+    const std::size_t w = pool->window;
+    if (w == 0 || pool->stride == 0) return "needs window and stride > 0";
+    if (in.rank != 3 || in.dims[1] < w || in.dims[2] < w) return kMismatch;
+    *step = {in, Shape{3, {in.dims[0], OutDim(in.dims[1], w, pool->stride, 0),
+                           OutDim(in.dims[2], w, pool->stride, 0)}}};
+  }
+  return nullptr;
+}
+
+// The one walk over a network's layers: calls visit(layer, step) for each
+// layer, in order, once it has passed its checks; returns the first failure.
+template <typename Visit>
+Status WalkLayers(const Network& net, Visit&& visit) {
+  if (net.input_shape.empty()) return InvalidArgument("missing input shape");
+  Shape shape;
+  if (net.input_shape.size() == 1 || net.input_shape.size() == 3) {
+    shape.rank = net.input_shape.size();
+    std::copy(net.input_shape.begin(), net.input_shape.end(),
+              shape.dims.begin());
+  }
+  for (std::size_t i = 0; i < net.layers.size(); ++i) {
+    Step step;
+    if (const char* error = LayerStep(net.layers[i], shape, &step)) {
+      return InvalidArgument("layer " + std::to_string(i) + " " + error);
+    }
+    visit(net.layers[i], step);
+    shape = step.out;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status Network::Validate() const {
+  return WalkLayers(*this, [](const Layer&, const Step&) {});
+}
+
+std::uint64_t Network::TotalMacs() const {
+  std::uint64_t macs = 0;
+  const Status s = WalkLayers(
+      *this, [&macs](const Layer&, const Step& step) { macs += step.macs(); });
+  return s.ok() ? macs : 0;
+}
+
+std::uint64_t Network::TotalWeights() const {
+  std::uint64_t weights = 0;
+  for (const Layer& layer : layers) weights += WeightCount(layer);
+  return weights;
+}
 
 double Activate(double v, Activation act) {
   switch (act) {
@@ -15,142 +145,57 @@ double Activate(double v, Activation act) {
   return v;
 }
 
-// Output spatial size of a conv/pool stage.
-std::size_t OutDim(std::size_t in, std::size_t kernel, std::size_t stride,
-                   std::size_t padding) {
-  return (in + 2 * padding - kernel) / stride + 1;
-}
-
-struct ShapeVisitor {
-  // Returns the output shape for the given input shape, or empty on error.
-  std::vector<std::size_t> operator()(const DenseLayer& l) const {
-    if (in.size() != 1 || in[0] != l.in_features) return {};
-    return {l.out_features};
-  }
-  std::vector<std::size_t> operator()(const Conv2dLayer& l) const {
-    if (in.size() != 3 || in[0] != l.in_channels) return {};
-    if (in[1] + 2 * l.padding < l.kernel || in[2] + 2 * l.padding < l.kernel) {
-      return {};
-    }
-    return {l.out_channels, OutDim(in[1], l.kernel, l.stride, l.padding),
-            OutDim(in[2], l.kernel, l.stride, l.padding)};
-  }
-  std::vector<std::size_t> operator()(const MaxPoolLayer& l) const {
-    if (in.size() != 3 || in[1] < l.window || in[2] < l.window) return {};
-    return {in[0], OutDim(in[1], l.window, l.stride, 0),
-            OutDim(in[2], l.window, l.stride, 0)};
-  }
-  std::vector<std::size_t> in;
-};
-
-}  // namespace
-
-Status Network::Validate() const {
-  if (input_shape.empty()) return InvalidArgument("missing input shape");
-  std::vector<std::size_t> shape = input_shape;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    // A dense layer after a conv stack implicitly flattens.
-    if (std::holds_alternative<DenseLayer>(layers[i]) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
-    std::vector<std::size_t> next =
-        std::visit(ShapeVisitor{shape}, layers[i]);
-    if (next.empty()) {
-      return InvalidArgument("layer " + std::to_string(i) +
-                             " incompatible with input shape");
-    }
-    // Check weight array sizes.
-    if (const auto* dense = std::get_if<DenseLayer>(&layers[i])) {
-      if (dense->weights.size() != dense->in_features * dense->out_features ||
-          dense->bias.size() != dense->out_features) {
-        return InvalidArgument("dense layer " + std::to_string(i) +
-                               " weight/bias size mismatch");
+Tensor MaxPool(const MaxPoolLayer& pool, const Tensor& in,
+               std::vector<std::size_t> out_shape) {
+  Tensor out(std::move(out_shape));
+  const std::vector<std::size_t>& shape = out.shape();
+  for (std::size_t c = 0; c < shape[0]; ++c) {
+    for (std::size_t oy = 0; oy < shape[1]; ++oy) {
+      for (std::size_t ox = 0; ox < shape[2]; ++ox) {
+        double best = -1e300;
+        for (std::size_t ky = 0; ky < pool.window; ++ky) {
+          for (std::size_t kx = 0; kx < pool.window; ++kx) {
+            best = std::max(best, in.at3(c, oy * pool.stride + ky,
+                                         ox * pool.stride + kx));
+          }
+        }
+        out.at3(c, oy, ox) = best;
       }
     }
-    if (const auto* conv = std::get_if<Conv2dLayer>(&layers[i])) {
-      if (conv->weights.size() != conv->out_channels * conv->in_channels *
-                                      conv->kernel * conv->kernel ||
-          conv->bias.size() != conv->out_channels) {
-        return InvalidArgument("conv layer " + std::to_string(i) +
-                               " weight/bias size mismatch");
-      }
-    }
-    shape = std::move(next);
   }
-  return Status::Ok();
-}
-
-std::uint64_t Network::TotalMacs() const {
-  std::uint64_t macs = 0;
-  std::vector<std::size_t> shape = input_shape;
-  for (const Layer& layer : layers) {
-    if (std::holds_alternative<DenseLayer>(layer) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
-    if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
-      macs += static_cast<std::uint64_t>(dense->in_features) *
-              dense->out_features;
-      shape = {dense->out_features};
-    } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
-      const std::size_t oh = OutDim(shape[1], conv->kernel, conv->stride,
-                                    conv->padding);
-      const std::size_t ow = OutDim(shape[2], conv->kernel, conv->stride,
-                                    conv->padding);
-      macs += static_cast<std::uint64_t>(oh) * ow * conv->out_channels *
-              conv->in_channels * conv->kernel * conv->kernel;
-      shape = {conv->out_channels, oh, ow};
-    } else if (const auto* pool = std::get_if<MaxPoolLayer>(&layer)) {
-      shape = {shape[0], OutDim(shape[1], pool->window, pool->stride, 0),
-               OutDim(shape[2], pool->window, pool->stride, 0)};
-    }
-  }
-  return macs;
-}
-
-std::uint64_t Network::TotalWeights() const {
-  std::uint64_t weights = 0;
-  for (const Layer& layer : layers) {
-    if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
-      weights += dense->weights.size() + dense->bias.size();
-    } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
-      weights += conv->weights.size() + conv->bias.size();
-    }
-  }
-  return weights;
+  return out;
 }
 
 Expected<Tensor> Forward(const Network& net, const Tensor& input) {
-  if (Status s = net.Validate(); !s.ok()) return s;
   if (input.shape() != net.input_shape) {
     return InvalidArgument("input shape mismatch");
   }
   Tensor current = input;
-  for (const Layer& layer : net.layers) {
-    if (std::holds_alternative<DenseLayer>(layer) && current.rank() == 3) {
-      current = Tensor({current.size()}, current.vec());
+  const Status s = WalkLayers(net, [&current](const Layer& layer,
+                                              const Step& step) {
+    if (current.rank() != step.in.rank) {
+      current = Tensor(step.in.vec(), std::move(current.vec()));
     }
     if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
-      Tensor out({dense->out_features});
-      for (std::size_t o = 0; o < dense->out_features; ++o) {
-        double sum = dense->bias[o];
-        for (std::size_t i = 0; i < dense->in_features; ++i) {
-          sum += current[i] * dense->weights[i * dense->out_features + o];
-        }
-        out[o] = Activate(sum, dense->activation);
+      // Input-major over the row-major weights: each output still sums
+      // bias + x0*w0 + x1*w1 + ... in order, and the sums do not chain.
+      Tensor out(step.out.vec(), dense->bias);
+      double* y = out.data();
+      for (std::size_t i = 0; i < dense->in_features; ++i) {
+        const double x = current[i];
+        const double* w = dense->weights.data() + i * dense->out_features;
+        for (std::size_t o = 0; o < dense->out_features; ++o) y[o] += x * w[o];
       }
+      for (double& v : out.vec()) v = Activate(v, dense->activation);
       current = std::move(out);
     } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
-      const std::size_t ih = current.shape()[1];
-      const std::size_t iw = current.shape()[2];
-      const std::size_t oh = OutDim(ih, conv->kernel, conv->stride,
-                                    conv->padding);
-      const std::size_t ow = OutDim(iw, conv->kernel, conv->stride,
-                                    conv->padding);
-      Tensor out({conv->out_channels, oh, ow});
+      const std::size_t ih = step.in.dims[1];
+      const std::size_t iw = step.in.dims[2];
+      Tensor out(step.out.vec());
       const std::size_t k = conv->kernel;
       for (std::size_t oc = 0; oc < conv->out_channels; ++oc) {
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          for (std::size_t ox = 0; ox < ow; ++ox) {
+        for (std::size_t oy = 0; oy < step.out.dims[1]; ++oy) {
+          for (std::size_t ox = 0; ox < step.out.dims[2]; ++ox) {
             double sum = conv->bias[oc];
             for (std::size_t ic = 0; ic < conv->in_channels; ++ic) {
               for (std::size_t ky = 0; ky < k; ++ky) {
@@ -181,89 +226,27 @@ Expected<Tensor> Forward(const Network& net, const Tensor& input) {
       }
       current = std::move(out);
     } else if (const auto* pool = std::get_if<MaxPoolLayer>(&layer)) {
-      const std::size_t channels = current.shape()[0];
-      const std::size_t ih = current.shape()[1];
-      const std::size_t iw = current.shape()[2];
-      const std::size_t oh = OutDim(ih, pool->window, pool->stride, 0);
-      const std::size_t ow = OutDim(iw, pool->window, pool->stride, 0);
-      Tensor out({channels, oh, ow});
-      for (std::size_t c = 0; c < channels; ++c) {
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            double best = -1e300;
-            for (std::size_t ky = 0; ky < pool->window; ++ky) {
-              for (std::size_t kx = 0; kx < pool->window; ++kx) {
-                best = std::max(best, current.at3(c, oy * pool->stride + ky,
-                                                  ox * pool->stride + kx));
-              }
-            }
-            out.at3(c, oy, ox) = best;
-          }
-        }
-      }
-      current = std::move(out);
+      current = MaxPool(*pool, current, step.out.vec());
     }
-  }
+  });
+  if (!s.ok()) return s;
   return current;
 }
 
 Expected<std::vector<LayerProfile>> ProfileNetwork(const Network& net) {
-  if (Status s = net.Validate(); !s.ok()) return s;
+  // Indexed by Layer::index(): the variant's alternative order.
+  static constexpr const char* kKinds[] = {"dense", "conv", "pool"};
   std::vector<LayerProfile> profiles;
-  std::vector<std::size_t> shape = net.input_shape;
-  const auto elems = [](const std::vector<std::size_t>& s) {
-    std::size_t n = 1;
-    for (std::size_t d : s) n *= d;
-    return static_cast<std::uint64_t>(n);
-  };
-  for (const Layer& layer : net.layers) {
-    if (std::holds_alternative<DenseLayer>(layer) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
-    LayerProfile p;
-    p.in_elements = elems(shape);
-    if (const auto* dense = std::get_if<DenseLayer>(&layer)) {
-      p.kind = "dense";
-      p.macs = static_cast<std::uint64_t>(dense->in_features) *
-               dense->out_features;
-      p.weight_count = dense->weights.size() + dense->bias.size();
-      shape = {dense->out_features};
-    } else if (const auto* conv = std::get_if<Conv2dLayer>(&layer)) {
-      const std::size_t oh =
-          OutDim(shape[1], conv->kernel, conv->stride, conv->padding);
-      const std::size_t ow =
-          OutDim(shape[2], conv->kernel, conv->stride, conv->padding);
-      p.kind = "conv";
-      p.macs = static_cast<std::uint64_t>(oh) * ow * conv->out_channels *
-               conv->in_channels * conv->kernel * conv->kernel;
-      p.weight_count = conv->weights.size() + conv->bias.size();
-      shape = {conv->out_channels, oh, ow};
-    } else if (const auto* pool = std::get_if<MaxPoolLayer>(&layer)) {
-      p.kind = "pool";
-      shape = {shape[0], OutDim(shape[1], pool->window, pool->stride, 0),
-               OutDim(shape[2], pool->window, pool->stride, 0)};
-    }
-    p.out_elements = elems(shape);
-    profiles.push_back(std::move(p));
-  }
+  profiles.reserve(net.layers.size());
+  const Status s = WalkLayers(net, [&profiles](const Layer& layer,
+                                               const Step& step) {
+    profiles.push_back({kKinds[layer.index()], step.in.vec(), step.out.vec(),
+                        step.mvm_rows, step.mvm_cols, step.mvm_calls,
+                        step.macs(), WeightCount(layer), step.in.elements(),
+                        step.out.elements()});
+  });
+  if (!s.ok()) return s;
   return profiles;
-}
-
-Expected<std::vector<std::vector<std::size_t>>> LayerInputShapes(
-    const Network& net) {
-  if (Status s = net.Validate(); !s.ok()) return s;
-  std::vector<std::vector<std::size_t>> shapes;
-  shapes.reserve(net.layers.size() + 1);
-  std::vector<std::size_t> shape = net.input_shape;
-  for (const Layer& layer : net.layers) {
-    if (std::holds_alternative<DenseLayer>(layer) && shape.size() == 3) {
-      shape = {shape[0] * shape[1] * shape[2]};
-    }
-    shapes.push_back(shape);
-    shape = std::visit(ShapeVisitor{shape}, layer);
-  }
-  shapes.push_back(std::move(shape));
-  return shapes;
 }
 
 Expected<DenseLayer> SliceDenseOutputs(const DenseLayer& layer,

@@ -54,35 +54,45 @@ struct Network {
   std::vector<std::size_t> input_shape;
   std::vector<Layer> layers;
 
+  // The layer walk's status: InvalidArgument for a missing input shape, a
+  // layer that does not fit its input, a zero kernel/window/stride or wrong
+  // weight/bias sizes.
   [[nodiscard]] Status Validate() const;
-
-  // Total multiply-accumulate count for one inference (used by the
-  // analytical models and baselines).
+  // Multiply-accumulates per inference (the walk's macs); 0 if invalid.
   [[nodiscard]] std::uint64_t TotalMacs() const;
   // Total weight parameters.
   [[nodiscard]] std::uint64_t TotalWeights() const;
 };
 
+[[nodiscard]] double Activate(double v, Activation act);
+
+// Max pooling of a CHW tensor onto the layer's profiled output shape.
+[[nodiscard]] Tensor MaxPool(const MaxPoolLayer& pool, const Tensor& in,
+                             std::vector<std::size_t> out_shape);
+
 // Float reference forward pass.
 [[nodiscard]] Expected<Tensor> Forward(const Network& net,
                                        const Tensor& input);
 
-// Per-layer operation/traffic profile used by the analytical cost models.
+// One layer as the walk over a network sees it: the one geometry source
+// for the float model, both DPE models, the baselines and the partitioner.
 struct LayerProfile {
-  std::string kind;            // "dense" / "conv" / "pool"
+  std::string kind;  // "dense" / "conv" / "pool"
+  // Consumed shape (after the implicit conv→dense flatten), produced shape.
+  std::vector<std::size_t> in_shape;
+  std::vector<std::size_t> out_shape;
+  // An mvm_rows x mvm_cols weight matrix (ic*k*k x oc for an im2col conv)
+  // driven mvm_calls times per inference: 1 dense, oh*ow conv, 0 pool.
+  std::size_t mvm_rows = 0;
+  std::size_t mvm_cols = 0;
+  std::uint64_t mvm_calls = 0;
   std::uint64_t macs = 0;
   std::uint64_t weight_count = 0;
   std::uint64_t in_elements = 0;
   std::uint64_t out_elements = 0;
 };
+// One profile per layer, in order; fails with Network::Validate's status.
 [[nodiscard]] Expected<std::vector<LayerProfile>> ProfileNetwork(
-    const Network& net);
-
-// Shape walk: result[i] is the shape layer i consumes (after the implicit
-// conv→dense flatten) and result[layers.size()] is the network output shape.
-// The fabric partitioner uses this to give each pipeline stage its input
-// shape without re-deriving layer semantics.
-[[nodiscard]] Expected<std::vector<std::vector<std::size_t>>> LayerInputShapes(
     const Network& net);
 
 // Slice a dense layer to the output features [begin, begin + count): weight

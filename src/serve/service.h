@@ -73,7 +73,6 @@ struct AdmissionParams {
   // Bounds for the SLA loop's watermark adaptation.
   std::size_t min_watermark = 8;
   std::size_t max_watermark = 256;
-  bool shed_expired = true;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -117,9 +116,6 @@ struct ServeParams {
   // at Submit (kInvalidArgument) so it cannot poison a whole batch. 0
   // disables the check.
   std::size_t expected_input_elements = 0;
-  // Real-time bound on one idle poll of the background dispatcher — a
-  // liveness knob only, never observable in results.
-  std::int64_t idle_poll_ns = 2'000'000;
 
   [[nodiscard]] Status Validate() const;
 };

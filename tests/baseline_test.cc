@@ -32,7 +32,7 @@ TEST(CpuModelTest, CostScalesWithNetwork) {
   ASSERT_TRUE(large.ok());
   EXPECT_GT(large->latency_ns, small->latency_ns);
   EXPECT_GT(large->energy_pj, small->energy_pj);
-  EXPECT_GT(large->macs, small->macs);
+  EXPECT_GT(large->operations, small->operations);
 }
 
 TEST(CpuModelTest, CacheResidentModelAvoidsDram) {
@@ -41,12 +41,12 @@ TEST(CpuModelTest, CacheResidentModelAvoidsDram) {
   // ~8 KB of weights: far below L3.
   auto tiny = model.EstimateInference(nn::BuildMlp("t", {32, 32, 16}, rng));
   ASSERT_TRUE(tiny.ok());
-  EXPECT_DOUBLE_EQ(tiny->dram_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(tiny->bytes_moved, 0.0);
   // ~80 MB of weights: far above L3, streams every inference.
   auto big =
       model.EstimateInference(nn::BuildMlp("b", {4096, 4096, 1024}, rng));
   ASSERT_TRUE(big.ok());
-  EXPECT_GT(big->dram_bytes, 1e7);
+  EXPECT_GT(big->bytes_moved, 1e7);
 }
 
 TEST(CpuModelTest, MemoryBoundWhenWeightsExceedCache) {
@@ -58,7 +58,7 @@ TEST(CpuModelTest, MemoryBoundWhenWeightsExceedCache) {
   auto cost = model.EstimateInference(net);
   ASSERT_TRUE(cost.ok());
   const double stream_ns =
-      cost->dram_bytes / model.params().dram_bandwidth_gbps;
+      cost->bytes_moved / model.params().dram_bandwidth_gbps;
   EXPECT_GT(cost->latency_ns, 0.9 * stream_ns);
 }
 
@@ -82,9 +82,9 @@ TEST(GpuModelTest, UtilizationImprovesWithSize) {
   ASSERT_TRUE(large.ok());
   // Time per MAC falls as the layer fills the machine.
   const double small_per_mac =
-      small->latency_ns / static_cast<double>(small->macs);
+      small->latency_ns / static_cast<double>(small->operations);
   const double large_per_mac =
-      large->latency_ns / static_cast<double>(large->macs);
+      large->latency_ns / static_cast<double>(large->operations);
   EXPECT_LT(large_per_mac, small_per_mac);
 }
 
@@ -114,7 +114,7 @@ TEST(ComparisonTest, Section6OrderingHoldsOnCacheBustingMlp) {
   EXPECT_GT(cpu_cost->energy_pj / dpe_cost->energy_pj, 100.0);
   // Weight bandwidth: DPE >= 1000x the CPU's effective bandwidth.
   EXPECT_GT(dpe_cost->effective_weight_bandwidth_gbps() /
-                cpu_cost->weight_bandwidth_gbps(),
+                (cpu_cost->bandwidth_bytes_per_sec() * 1e-9),
             1000.0);
   // GPU lands between CPU and DPE on energy.
   EXPECT_LT(gpu_cost->energy_pj, cpu_cost->energy_pj);
@@ -137,7 +137,7 @@ TEST(PimModelTest, OnlyActivationsCrossThePackage) {
   const nn::Network net = nn::BuildMlp("m", {1024, 2048, 64}, rng);
   auto cost = model.EstimateInference(net);
   ASSERT_TRUE(cost.ok());
-  EXPECT_LT(cost->dram_bytes, 16384.0);  // activations, not megabytes
+  EXPECT_LT(cost->bytes_moved, 16384.0);  // activations, not megabytes
   EXPECT_GT(cost->energy_pj, 0.0);
 }
 
@@ -181,21 +181,21 @@ TEST(ComparisonTest, DpeAdvantageGrowsWithModelSize) {
 }
 
 TEST(EngineCostTest, UnitConversionsPinned) {
-  EngineCost cost;
+  CostReport cost;  // what every ComputeEngine returns
   cost.latency_ns = 1000.0;
   cost.energy_pj = 2000.0;
-  cost.dram_bytes = 8000.0;
+  cost.bytes_moved = 8000.0;
   // 2000 pJ over 1000 ns = 2 pJ/ns = 2 mW = 2e-3 W.
   EXPECT_DOUBLE_EQ(cost.average_power_watts(), 2e-3);
   // 8000 bytes over 1000 ns = 8 bytes/ns = 8e9 bytes/s = 8 GB/s
   // (gigabytes, not gigabits).
-  EXPECT_DOUBLE_EQ(cost.weight_bandwidth_gbps(), 8.0);
+  EXPECT_DOUBLE_EQ(cost.bandwidth_bytes_per_sec(), 8e9);
 
-  EngineCost idle;  // zero latency must not divide by zero
+  CostReport idle;  // zero latency must not divide by zero
   idle.energy_pj = 5.0;
-  idle.dram_bytes = 5.0;
+  idle.bytes_moved = 5.0;
   EXPECT_DOUBLE_EQ(idle.average_power_watts(), 0.0);
-  EXPECT_DOUBLE_EQ(idle.weight_bandwidth_gbps(), 0.0);
+  EXPECT_DOUBLE_EQ(idle.bandwidth_bytes_per_sec(), 0.0);
 }
 
 TEST(DpeEngineAdapterTest, SpeaksTheCommonEngineInterface) {
@@ -209,10 +209,10 @@ TEST(DpeEngineAdapterTest, SpeaksTheCommonEngineInterface) {
   ASSERT_TRUE(cost.ok());
   EXPECT_GT(cost->latency_ns, 0.0);
   EXPECT_GT(cost->energy_pj, 0.0);
-  EXPECT_EQ(cost->macs, net.TotalMacs());
+  EXPECT_EQ(cost->operations, net.TotalMacs());
   // Weights are resident: only input + output activations cross the memory
   // interface (1 byte each at 8-bit precision).
-  EXPECT_DOUBLE_EQ(cost->dram_bytes, 64.0 + 8.0);
+  EXPECT_DOUBLE_EQ(cost->bytes_moved, 64.0 + 8.0);
   // The adapter folds the same estimate the analytical model reports.
   dpe::AnalyticalDpeModel model;
   auto estimate = model.EstimateInference(net);

@@ -65,6 +65,46 @@ TEST(NetworkTest, ValidationCatchesWeightSizeMismatch) {
   EXPECT_FALSE(net.Validate().ok());
 }
 
+// A 1x6x6 input into one 3x3 conv (1 -> 2 channels) and a 2x2 max pool,
+// with valid weights; tests break one field at a time.
+Network ConvPoolNet() {
+  Network net;
+  net.input_shape = {1, 6, 6};
+  Conv2dLayer conv;
+  conv.in_channels = 1;
+  conv.out_channels = 2;
+  conv.weights.assign(2 * 1 * 3 * 3, 0.1);
+  conv.bias.assign(2, 0.0);
+  net.layers.emplace_back(std::move(conv));
+  net.layers.emplace_back(MaxPoolLayer{});
+  return net;
+}
+
+TEST(NetworkTest, ValidationRejectsZeroStrideKernelOrWindow) {
+  ASSERT_TRUE(ConvPoolNet().Validate().ok());
+  std::vector<Network> broken(4, ConvPoolNet());
+  std::get<Conv2dLayer>(broken[0].layers[0]).stride = 0;
+  auto& zero_kernel = std::get<Conv2dLayer>(broken[1].layers[0]);
+  zero_kernel.kernel = 0;
+  zero_kernel.weights.clear();  // sized for the zero kernel
+  std::get<MaxPoolLayer>(broken[2].layers[1]).stride = 0;
+  std::get<MaxPoolLayer>(broken[3].layers[1]).window = 0;
+  for (std::size_t i = 0; i < broken.size(); ++i) {
+    const Status s = broken[i].Validate();
+    EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument) << "case " << i;
+    EXPECT_EQ(broken[i].TotalMacs(), 0u) << "case " << i;
+    EXPECT_FALSE(ProfileNetwork(broken[i]).ok()) << "case " << i;
+    EXPECT_FALSE(Forward(broken[i], Tensor({1, 6, 6})).ok()) << "case " << i;
+  }
+}
+
+TEST(NetworkTest, TotalMacsIsZeroForInvalidNetwork) {
+  Network net = ConvPoolNet();
+  net.input_shape = {36};  // a conv cannot consume a 1-D input
+  EXPECT_FALSE(net.Validate().ok());
+  EXPECT_EQ(net.TotalMacs(), 0u);
+}
+
 TEST(ForwardTest, DenseComputesAffineTransform) {
   Network net;
   net.input_shape = {2};
@@ -196,6 +236,43 @@ TEST(ProfileTest, ElementsChainBetweenLayers) {
   EXPECT_EQ((*profiles)[0].out_elements, 20u);
   EXPECT_EQ((*profiles)[1].in_elements, 20u);
   EXPECT_EQ((*profiles)[1].out_elements, 5u);
+}
+
+TEST(ProfileTest, ConvGeometryAndImplicitFlatten) {
+  Network net = ConvPoolNet();
+  std::get<Conv2dLayer>(net.layers[0]).padding = 1;
+  DenseLayer fc;
+  fc.in_features = 2 * 3 * 3;
+  fc.out_features = 4;
+  fc.weights.assign(fc.in_features * fc.out_features, 0.0);
+  fc.bias.assign(fc.out_features, 0.0);
+  net.layers.emplace_back(std::move(fc));
+  auto profiles = ProfileNetwork(net);
+  ASSERT_TRUE(profiles.ok());
+  ASSERT_EQ(profiles->size(), 3u);
+  using Shape = std::vector<std::size_t>;
+  const LayerProfile& conv = (*profiles)[0];
+  EXPECT_EQ(conv.kind, "conv");
+  EXPECT_EQ(conv.in_shape, (Shape{1, 6, 6}));
+  EXPECT_EQ(conv.out_shape, (Shape{2, 6, 6}));
+  EXPECT_EQ(conv.mvm_rows, 9u);  // im2col: ic * k * k
+  EXPECT_EQ(conv.mvm_cols, 2u);
+  EXPECT_EQ(conv.mvm_calls, 36u);  // one per output pixel
+  EXPECT_EQ(conv.macs, 36u * 9 * 2);
+  const LayerProfile& pool = (*profiles)[1];
+  EXPECT_EQ(pool.out_shape, (Shape{2, 3, 3}));
+  EXPECT_EQ(pool.mvm_calls, 0u);
+  EXPECT_EQ(pool.macs, 0u);
+  const LayerProfile& dense = (*profiles)[2];
+  EXPECT_EQ(dense.in_shape, (Shape{18}));  // flattened pool output
+  EXPECT_EQ(dense.out_shape, (Shape{4}));
+  EXPECT_EQ(dense.mvm_rows, 18u);
+  EXPECT_EQ(dense.mvm_cols, 4u);
+  EXPECT_EQ(dense.mvm_calls, 1u);
+  EXPECT_EQ(net.TotalMacs(), conv.macs + dense.macs);
+  auto out = Forward(net, Tensor({1, 6, 6}));
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->shape(), dense.out_shape);
 }
 
 TEST(BenchmarkSuiteTest, AllNetworksValidate) {
